@@ -20,7 +20,8 @@ class UntestedTracker {
       : nic_(table.num_input_combos()),
         tested_(table.num_transitions(), -1),
         per_state_(static_cast<std::size_t>(table.num_states()),
-                   table.num_input_combos()) {}
+                   table.num_input_combos()),
+        lowest_(static_cast<std::size_t>(table.num_states()), 0) {}
 
   bool is_tested(int state, std::uint32_t ic) const {
     return tested_[id(state, ic)] >= 0;
@@ -34,11 +35,12 @@ class UntestedTracker {
     return per_state_[static_cast<std::size_t>(state)] > 0;
   }
   /// Lowest untested input combination out of `state`, or nic if none.
-  std::uint32_t first_untested(int state) const {
-    if (!state_has_untested(state)) return nic_;
-    for (std::uint32_t a = 0; a < nic_; ++a)
-      if (!is_tested(state, a)) return a;
-    return nic_;
+  /// Transitions are never unmarked, so the answer only grows: each call
+  /// resumes the scan where the last one for this state stopped.
+  std::uint32_t first_untested(int state) {
+    std::uint32_t& a = lowest_[static_cast<std::size_t>(state)];
+    while (a < nic_ && is_tested(state, a)) ++a;
+    return a;
   }
   const std::vector<int>& tested_by() const { return tested_; }
 
@@ -49,6 +51,7 @@ class UntestedTracker {
   std::uint32_t nic_;
   std::vector<int> tested_;
   std::vector<std::uint32_t> per_state_;
+  std::vector<std::uint32_t> lowest_;  ///< no untested input below this
 };
 
 }  // namespace
@@ -86,10 +89,13 @@ GeneratorResult generate_functional_tests(const StateTable& table,
   UntestedTracker tracker(table);
   TestSet& tests = result.tests;
   result.degraded = !result.uios.complete();
-  // One guard for every transfer search in this run; exhaustion (or test
-  // injection) degrades each remaining search to "no transfer" => the
-  // current test ends with a scan-out, which is always sound.
-  robust::RunGuard xfer_guard(robust::Budget{}, "transfer.bfs");
+  // One guard for every transfer search in this run, under the run's
+  // budget; exhaustion (or test injection) degrades each remaining search
+  // to "no transfer" => the current test ends with a scan-out, which is
+  // always sound.
+  robust::RunGuard xfer_guard(options.budget, "transfer.bfs");
+  // Every transfer search runs over this one index of distinct successors.
+  const SuccessorIndex successors(table);
 
   auto has_uio = [&](int state) {
     return result.uios.of(state).exists;
@@ -151,10 +157,13 @@ GeneratorResult generate_functional_tests(const StateTable& table,
           // into a state that still has untested transitions.
           if (options.transfer_max_length > 0) {
             TransferSearch xfer = find_transfer_guarded(
-                table, after_uio, options.transfer_max_length,
+                successors, after_uio, options.transfer_max_length,
                 [&](int t) { return tracker.state_has_untested(t); },
                 xfer_guard);
-            if (xfer.budget_exhausted) result.degraded = true;
+            if (xfer.budget_exhausted) {
+              result.degraded = true;
+              ++result.transfer_aborted_searches;
+            }
             if (xfer.seq.has_value()) {
               test.inputs.insert(test.inputs.end(), uio.inputs.begin(),
                                  uio.inputs.end());
@@ -188,6 +197,18 @@ GeneratorResult generate_functional_tests(const StateTable& table,
   tests.validate(table);
   result.generation_seconds = timer.seconds();
   return result;
+}
+
+std::string GeneratorResult::degradation() const {
+  std::string out;
+  if (!uios.complete())
+    out = "UIO search (" + std::to_string(uio_aborted_states()) +
+          " states aborted)";
+  if (transfer_aborted_searches > 0)
+    out += (out.empty() ? "" : " and ") + std::string("test chaining (") +
+           std::to_string(transfer_aborted_searches) +
+           " transfer searches cut short)";
+  return out;
 }
 
 robust::Result<GeneratorResult> try_generate_functional_tests(

@@ -18,11 +18,13 @@ struct GeneratorOptions {
   bool postpone_no_uio_starts = true;
   /// Work budget forwarded to UIO derivation.
   std::uint64_t uio_eval_budget = 50'000'000;
-  /// Resource envelope for the whole UIO derivation (wall clock, total
-  /// expansions, memory estimate). Exhaustion is *not* an error: states
-  /// whose search was cut short are treated as UIO-less, exactly the
-  /// paper's own degradation — the chained test ends with a scan-out, so
-  /// state-transition coverage is preserved while cycle count may rise.
+  /// Resource envelope applied to the UIO derivation and, separately, to
+  /// the transfer searches of test chaining (wall clock, total expansions,
+  /// memory estimate). Exhaustion is *not* an error: states whose UIO
+  /// search was cut short are treated as UIO-less, and a transfer search
+  /// cut short finds no transfer — exactly the paper's own degradation:
+  /// the chained test ends with a scan-out, so state-transition coverage
+  /// is preserved while cycle count may rise.
   robust::Budget budget;
 };
 
@@ -42,10 +44,17 @@ struct GeneratorResult {
   /// transfer searches cut short). The tests are still complete — every
   /// state-transition is tested — but chaining is reduced.
   bool degraded = false;
+  /// Transfer searches during test chaining that the budget cut short
+  /// (each ended its test with a scan-out).
+  std::size_t transfer_aborted_searches = 0;
 
   /// States whose UIO search the budget cut short (subset of the states
   /// the generator fell back to scan-out for).
   int uio_aborted_states() const { return uios.aborted_states(); }
+
+  /// Human-readable account of what the budget cut short, naming each
+  /// degraded stage (UIO search, test chaining); empty if not degraded.
+  std::string degradation() const;
 };
 
 /// The paper's functional test generation procedure. Every one of the

@@ -41,13 +41,6 @@ int int_field(const std::string& text, const char* what, int line_no,
   return static_cast<int>(v);
 }
 
-std::string binary(std::uint32_t v, int bits) {
-  std::string s(static_cast<std::size_t>(bits), '0');
-  for (int b = 0; b < bits; ++b)
-    if ((v >> b) & 1u) s[static_cast<std::size_t>(bits - 1 - b)] = '1';
-  return s;
-}
-
 std::uint32_t parse_binary(const std::string& s, int bits, int line) {
   if (static_cast<int>(s.size()) != bits)
     throw ParseError("field `" + s + "` is not " + std::to_string(bits) +
@@ -86,43 +79,56 @@ std::pair<std::uint32_t, std::uint32_t> parse_ternary(const std::string& s,
   return {v, x};
 }
 
-/// Input field with X overrides; an X bit prints 'x' regardless of the
-/// value bit underneath, so the written form is canonical.
-std::string ternary(std::uint32_t v, std::uint32_t x, int bits) {
-  std::string s = binary(v, bits);
-  for (int b = 0; b < bits; ++b)
-    if ((x >> b) & 1u) s[static_cast<std::size_t>(bits - 1 - b)] = 'x';
-  return s;
+/// Append a `bits`-wide field, MSB first. A bit set in `x` prints 'x'
+/// regardless of the value bit underneath, so the written form is
+/// canonical; state fields pass x = 0.
+void append_field(std::string& out, std::uint32_t v, std::uint32_t x,
+                  int bits) {
+  for (int b = bits - 1; b >= 0; --b)
+    out += ((x >> b) & 1u) ? 'x' : ((v >> b) & 1u) ? '1' : '0';
 }
 
 }  // namespace
 
 std::string write_test_file(const TestFile& file) {
-  std::ostringstream os;
-  os << "# functional scan tests";
-  if (!file.circuit.empty()) os << " for " << file.circuit;
-  os << "\n";
-  if (!file.circuit.empty()) os << ".circuit " << file.circuit << "\n";
-  os << ".inputs " << file.input_bits << "\n";
-  os << ".sv " << file.state_bits << "\n";
-  os << ".tests " << file.tests.size() << "\n";
+  std::string header = "# functional scan tests";
+  if (!file.circuit.empty()) header += " for " + file.circuit;
+  header += "\n";
+  if (!file.circuit.empty()) header += ".circuit " + file.circuit + "\n";
+  header += ".inputs " + std::to_string(file.input_bits) + "\n";
+  header += ".sv " + std::to_string(file.state_bits) + "\n";
+  header += ".tests " + std::to_string(file.tests.size()) + "\n";
+
+  // Size the text exactly and fill it in place: test files run to
+  // megabytes, and a growing stream buffer would copy (and fault in) the
+  // whole text several times over.
+  const auto in_width = static_cast<std::size_t>(file.input_bits);
+  const auto sv_width = static_cast<std::size_t>(file.state_bits);
+  std::size_t size = header.size();
+  for (const FunctionalTest& t : file.tests.tests)
+    size += 2 * (sv_width + 1) +
+            (t.inputs.empty() ? 1 : t.inputs.size() * (in_width + 1) - 1);
+  std::string out;
+  out.reserve(size);
+  out += header;
   for (const FunctionalTest& t : file.tests.tests) {
-    os << binary(static_cast<std::uint32_t>(t.init_state), file.state_bits)
-       << ' ';
+    append_field(out, static_cast<std::uint32_t>(t.init_state), 0,
+                 file.state_bits);
+    out += ' ';
     // An empty input sequence (scan-in immediately followed by scan-out)
     // writes as `-`; the parser maps it back to zero vectors.
-    if (t.inputs.empty()) os << '-';
+    if (t.inputs.empty()) out += '-';
     for (std::size_t i = 0; i < t.inputs.size(); ++i) {
-      if (i) os << ',';
-      os << ternary(t.inputs[i],
-                    i < t.input_x.size() ? t.input_x[i] : 0u,
-                    file.input_bits);
+      if (i) out += ',';
+      append_field(out, t.inputs[i],
+                   i < t.input_x.size() ? t.input_x[i] : 0u, file.input_bits);
     }
-    os << ' '
-       << binary(static_cast<std::uint32_t>(t.final_state), file.state_bits)
-       << "\n";
+    out += ' ';
+    append_field(out, static_cast<std::uint32_t>(t.final_state), 0,
+                 file.state_bits);
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 TestFile parse_test_file(const std::string& text) {
@@ -210,9 +216,10 @@ TestFile parse_test_file(const std::string& text) {
 
 void save_test_file(const TestFile& file, const std::string& path) {
   // Atomic temp+rename write: a crash or ENOSPC mid-save can never leave a
-  // truncated test file where a complete one (or nothing) was expected.
+  // truncated test file where a complete one (or nothing) was expected. No
+  // fsync: a test file is an output a rerun regenerates (fs_util.h).
   std::string error;
-  if (!store::atomic_write_file(path, write_test_file(file), &error))
+  if (!store::atomic_replace_file(path, write_test_file(file), &error))
     throw Error("cannot write test file " + path + ": " + error);
 }
 

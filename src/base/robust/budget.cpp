@@ -50,7 +50,9 @@ RunGuard::~RunGuard() {
   // One registry write per guard lifetime, never per tick: the tick fast
   // path stays free of instrumentation.
   static const obs::Counter c_expansions = obs::counter("budget.expansions");
+  static const obs::Counter c_ticks = obs::counter("budget.ticks");
   c_expansions.add(expansions());
+  c_ticks.add(ticks_.load(std::memory_order_relaxed));
   const BudgetTrip t = trip();
   if (t != BudgetTrip::kNone)
     obs::counter(std::string("budget.trips.") + trip_name(t)).inc();

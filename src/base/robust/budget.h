@@ -68,7 +68,8 @@ class RunGuard {
  public:
   RunGuard(const Budget& budget, const char* site);
   /// Flushes this run's consumption into the observability registry
-  /// (counter `budget.expansions`, and `budget.trips.<reason>` if tripped).
+  /// (counters `budget.expansions` and `budget.ticks`, and
+  /// `budget.trips.<reason>` if tripped).
   ~RunGuard();
 
   /// Charge `work` expansions and re-check every limit. Returns true while

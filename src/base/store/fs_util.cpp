@@ -40,10 +40,10 @@ void sync_dir(const std::string& dir) {
   ::close(fd);
 }
 
-}  // namespace
-
-bool atomic_write_file(const std::string& path, std::string_view data,
-                       std::string* error) {
+/// Temp + full write + rename; with `sync`, fsync the data before the
+/// rename and the directory after it.
+bool write_and_rename(const std::string& path, std::string_view data,
+                      bool sync, std::string* error) {
   // pid + per-process sequence keeps concurrent writers (other processes
   // or threads of this one) off each other's temporaries.
   static std::atomic<std::uint64_t> seq{0};
@@ -74,7 +74,7 @@ bool atomic_write_file(const std::string& path, std::string_view data,
     left -= static_cast<std::size_t>(n);
   }
 
-  if (::fsync(fd) != 0) {
+  if (sync && ::fsync(fd) != 0) {
     if (error) *error = "fsync " + tmp + ": " + errno_detail();
     ::close(fd);
     ::unlink(tmp.c_str());
@@ -91,8 +91,20 @@ bool atomic_write_file(const std::string& path, std::string_view data,
     ::unlink(tmp.c_str());
     return false;
   }
-  sync_dir(dir_of(path));
+  if (sync) sync_dir(dir_of(path));
   return true;
+}
+
+}  // namespace
+
+bool atomic_write_file(const std::string& path, std::string_view data,
+                       std::string* error) {
+  return write_and_rename(path, data, /*sync=*/true, error);
+}
+
+bool atomic_replace_file(const std::string& path, std::string_view data,
+                         std::string* error) {
+  return write_and_rename(path, data, /*sync=*/false, error);
 }
 
 bool read_file(const std::string& path, std::string* data,

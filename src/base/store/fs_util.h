@@ -9,19 +9,32 @@ namespace fstg::store {
 
 /// --- Crash-consistent filesystem helpers ---------------------------------
 ///
-/// Every durable file this codebase writes — store blobs, checkpoint
-/// records, --metrics-out/--trace-out JSON, lint reports, generated test
-/// files — goes through `atomic_write_file`: write to a same-directory
-/// temporary, fsync the data, atomically rename over the target, fsync the
-/// directory. A reader therefore sees either the old file or the complete
-/// new file, never a truncated in-between, and short writes (ENOSPC) are
+/// The files this codebase writes go through one of two helpers that
+/// write a same-directory temporary and atomically rename it over the
+/// target. A reader therefore sees either the old file or the complete new
+/// file, never a truncated in-between, and short writes (ENOSPC) are
 /// reported instead of silently producing a partial artifact.
+///
+/// Durable files — store blobs and metadata, checkpoint records, the run
+/// ledger, --metrics-out/--trace-out/--telemetry-out JSON — use
+/// `atomic_write_file`, which also fsyncs the data and the directory so
+/// the file survives power loss. A command's own `-o` output (generated
+/// test files, exported netlists, lint and report output), which rerunning
+/// the command regenerates, uses `atomic_replace_file`, which skips both
+/// fsyncs: an fsync waits for the filesystem journal, whose
+/// latency depends on every other writer on the disk, and would put that
+/// wait on the command's critical path.
 
 /// Atomically replace `path` with `data`. On failure returns false, sets
 /// `*error` (with errno detail, e.g. "No space left on device"), and leaves
 /// any previous file at `path` untouched; the temporary is unlinked.
 bool atomic_write_file(const std::string& path, std::string_view data,
                        std::string* error);
+
+/// `atomic_write_file` without the fsyncs: just as atomic for readers and
+/// across a crash of this process, but not durable across power loss.
+bool atomic_replace_file(const std::string& path, std::string_view data,
+                         std::string* error);
 
 /// Read a whole file. Returns false (with `*error`) on open/read failure;
 /// does not distinguish a missing file from an unreadable one.

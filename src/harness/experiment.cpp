@@ -76,14 +76,13 @@ CircuitExperiment run_fsm(const Kiss2Fsm& fsm,
 
     {
       obs::StageScope scope("verify.readback", fsm.name);
-      std::string message;
-      const bool matches =
-          circuit_matches_fsm(exp.synth.circuit, exp.fsm, exp.synth.encoding,
-                              &message);
-      require(matches,
-              "synthesis self-check failed for " + fsm.name + ": " + message);
       exp.table =
           read_back_table(exp.synth.circuit, &exp.fsm, &exp.synth.encoding);
+      std::string message;
+      const bool matches = table_matches_fsm(exp.table, exp.fsm,
+                                             exp.synth.encoding, &message);
+      require(matches,
+              "synthesis self-check failed for " + fsm.name + ": " + message);
     }
     harness::save_synth(cache, skey, exp.synth, exp.table, exp.synth_seconds);
   }
@@ -309,16 +308,16 @@ robust::Result<CircuitExperiment> try_run_fsm(const Kiss2Fsm& fsm,
 
     try {
       obs::StageScope scope("verify.readback", fsm.name);
+      exp.table =
+          read_back_table(exp.synth.circuit, &exp.fsm, &exp.synth.encoding);
       std::string message;
-      const bool matches = circuit_matches_fsm(exp.synth.circuit, exp.fsm,
-                                               exp.synth.encoding, &message);
+      const bool matches = table_matches_fsm(exp.table, exp.fsm,
+                                             exp.synth.encoding, &message);
       if (!matches)
         return robust::Status::error(robust::Code::kInternal,
                                      "synthesis self-check failed: " + message)
             .with_context("stage verify")
             .with_context("circuit " + fsm.name);
-      exp.table =
-          read_back_table(exp.synth.circuit, &exp.fsm, &exp.synth.encoding);
     } catch (...) {
       return stage_status("verify", fsm.name);
     }
@@ -340,9 +339,8 @@ robust::Result<CircuitExperiment> try_run_fsm(const Kiss2Fsm& fsm,
     harness::save_gen(cache, gkey, exp.gen);
   }
   if (exp.gen.degraded)
-    log_warn("circuit " + fsm.name + ": generation degraded by budget (" +
-             std::to_string(exp.gen.uio_aborted_states()) +
-             " UIO searches aborted; scan-out fallback keeps coverage)");
+    log_warn("circuit " + fsm.name + ": generation degraded by budget in " +
+             exp.gen.degradation() + "; scan-out fallback keeps coverage");
   return exp;
 }
 

@@ -98,56 +98,55 @@ std::vector<int> Netlist::type_histogram() const {
   return hist;
 }
 
-std::vector<bool> Netlist::evaluate(std::uint64_t input_bits) const {
-  std::vector<bool> value(gates_.size(), false);
+void Netlist::evaluate(std::span<const std::uint64_t> input_words,
+                       std::vector<std::uint64_t>& values) const {
+  require(input_words.size() == inputs_.size(),
+          "evaluate: one input word per primary input");
+  values.resize(gates_.size());
   std::size_t input_index = 0;
-  for (int id = 0; id < num_gates(); ++id) {
-    const Gate& g = gates_[static_cast<std::size_t>(id)];
-    bool v = false;
+  for (std::size_t id = 0; id < gates_.size(); ++id) {
+    const Gate& g = gates_[id];
+    const auto in = [&](std::size_t k) {
+      return values[static_cast<std::size_t>(g.fanins[k])];
+    };
+    std::uint64_t v = 0;
     switch (g.type) {
-      case GateType::kInput:
-        v = (input_bits >> input_index) & 1u;
-        ++input_index;
-        break;
-      case GateType::kConst0: v = false; break;
-      case GateType::kConst1: v = true; break;
-      case GateType::kBuf: v = value[static_cast<std::size_t>(g.fanins[0])]; break;
-      case GateType::kNot: v = !value[static_cast<std::size_t>(g.fanins[0])]; break;
+      case GateType::kInput: v = input_words[input_index++]; break;
+      case GateType::kConst0: v = 0; break;
+      case GateType::kConst1: v = ~std::uint64_t{0}; break;
+      case GateType::kBuf: v = in(0); break;
+      case GateType::kNot: v = ~in(0); break;
       case GateType::kAnd:
-      case GateType::kNand: {
-        v = true;
-        for (int f : g.fanins) v = v && value[static_cast<std::size_t>(f)];
-        if (g.type == GateType::kNand) v = !v;
+      case GateType::kNand:
+        v = ~std::uint64_t{0};
+        for (std::size_t k = 0; k < g.fanins.size(); ++k) v &= in(k);
+        if (g.type == GateType::kNand) v = ~v;
         break;
-      }
       case GateType::kOr:
-      case GateType::kNor: {
-        v = false;
-        for (int f : g.fanins) v = v || value[static_cast<std::size_t>(f)];
-        if (g.type == GateType::kNor) v = !v;
+      case GateType::kNor:
+        for (std::size_t k = 0; k < g.fanins.size(); ++k) v |= in(k);
+        if (g.type == GateType::kNor) v = ~v;
         break;
-      }
       case GateType::kXor:
-      case GateType::kXnor: {
-        // Parity over *all* fanins. (This evaluator used to read only the
-        // first two, silently truncating n-ary XOR — difftest corpus case
-        // xor_nary_parity pins the fix.)
-        v = false;
-        for (int f : g.fanins) v = v != value[static_cast<std::size_t>(f)];
-        if (g.type == GateType::kXnor) v = !v;
+      case GateType::kXnor:
+        // Parity over *all* fanins; difftest corpus case xor_nary_parity
+        // pins this.
+        for (std::size_t k = 0; k < g.fanins.size(); ++k) v ^= in(k);
+        if (g.type == GateType::kXnor) v = ~v;
         break;
-      }
     }
-    value[static_cast<std::size_t>(id)] = v;
+    values[id] = v;
   }
-  return value;
 }
 
 std::uint64_t Netlist::evaluate_outputs(std::uint64_t input_bits) const {
-  std::vector<bool> value = evaluate(input_bits);
+  std::vector<std::uint64_t> in(inputs_.size());
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = (input_bits >> i) & 1u;
+  std::vector<std::uint64_t> values;
+  evaluate(in, values);
   std::uint64_t out = 0;
   for (std::size_t k = 0; k < outputs_.size(); ++k)
-    if (value[static_cast<std::size_t>(outputs_[k])]) out |= std::uint64_t{1} << k;
+    out |= (values[static_cast<std::size_t>(outputs_[k])] & 1u) << k;
   return out;
 }
 

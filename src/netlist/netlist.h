@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,12 +59,16 @@ class Netlist {
   /// Count of gates per type (reporting).
   std::vector<int> type_histogram() const;
 
-  /// Evaluate one input pattern (bit i of `input_bits` = value of the i-th
-  /// primary input). Returns all gate values; scalar reference evaluator
-  /// used by verification — the word-parallel simulator lives in sim/.
-  std::vector<bool> evaluate(std::uint64_t input_bits) const;
+  /// Evaluate 64 input patterns at once: bit l of `input_words[i]` is the
+  /// i-th primary input's value in lane l. Fills `values` with one word per
+  /// gate (bit l = the gate's value in lane l). The fault-free reference
+  /// used by read-back verification; the fault simulator lives in sim/.
+  void evaluate(std::span<const std::uint64_t> input_words,
+                std::vector<std::uint64_t>& values) const;
 
-  /// Output word for one input pattern (bit k = k-th primary output).
+  /// Output word for one input pattern (bit i of `input_bits` = i-th
+  /// primary input, bit k of the result = k-th primary output): lane 0 of
+  /// `evaluate`.
   std::uint64_t evaluate_outputs(std::uint64_t input_bits) const;
 
  private:

@@ -1,5 +1,7 @@
 #include "netlist/verify.h"
 
+#include <algorithm>
+
 #include "base/error.h"
 #include "base/string_util.h"
 
@@ -19,12 +21,35 @@ StateTable read_back_table(const ScanCircuit& circuit, const Kiss2Fsm* fsm,
             : "c" + std::to_string(code);
   }
 
-  const std::uint32_t nic = table.num_input_combos();
-  for (int code = 0; code < num_states; ++code) {
-    for (std::uint32_t ic = 0; ic < nic; ++ic) {
-      std::uint32_t po = 0, ns = 0;
-      circuit.step(static_cast<std::uint32_t>(code), ic, po, ns);
-      table.set(code, ic, static_cast<int>(ns), po);
+  // Minterm m = (code << num_pi) | ic, and bit i of m drives comb input i
+  // (ScanCircuit::step's ordering). Lane l of a pass holds minterm base + l:
+  // the low six inputs take the fixed lane patterns, the rest are constant
+  // within a pass.
+  static constexpr std::uint64_t kLaneBit[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  const int num_in = circuit.comb_inputs();
+  const std::uint64_t minterms = std::uint64_t{1} << num_in;
+  const std::uint64_t pi_mask = (std::uint64_t{1} << circuit.num_pi) - 1;
+  const std::uint64_t po_mask = (std::uint64_t{1} << circuit.num_po) - 1;
+  const std::vector<int>& outputs = circuit.comb.outputs();
+  std::vector<std::uint64_t> in(static_cast<std::size_t>(num_in));
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t base = 0; base < minterms; base += 64) {
+    for (int i = 0; i < num_in; ++i)
+      in[static_cast<std::size_t>(i)] =
+          i < 6 ? kLaneBit[i] : ((base >> i) & 1u) ? ~std::uint64_t{0} : 0;
+    circuit.comb.evaluate(in, values);
+    const std::uint64_t lanes = std::min<std::uint64_t>(64, minterms - base);
+    for (std::uint64_t l = 0; l < lanes; ++l) {
+      std::uint64_t out = 0;
+      for (std::size_t k = 0; k < outputs.size(); ++k)
+        out |= ((values[static_cast<std::size_t>(outputs[k])] >> l) & 1u) << k;
+      const std::uint64_t m = base + l;
+      table.set(static_cast<int>(m >> circuit.num_pi),
+                static_cast<std::uint32_t>(m & pi_mask),
+                static_cast<int>(out >> circuit.num_po),
+                static_cast<std::uint32_t>(out & po_mask));
     }
   }
   return table;
@@ -32,6 +57,11 @@ StateTable read_back_table(const ScanCircuit& circuit, const Kiss2Fsm* fsm,
 
 bool circuit_matches_fsm(const ScanCircuit& circuit, const Kiss2Fsm& fsm,
                          const Encoding& enc, std::string* message) {
+  return table_matches_fsm(read_back_table(circuit), fsm, enc, message);
+}
+
+bool table_matches_fsm(const StateTable& table, const Kiss2Fsm& fsm,
+                       const Encoding& enc, std::string* message) {
   const int pi = fsm.num_inputs;
   for (const auto& row : fsm.rows) {
     const std::uint32_t ps_code =
@@ -55,8 +85,9 @@ bool circuit_matches_fsm(const ScanCircuit& circuit, const Kiss2Fsm& fsm,
       for (std::size_t k = 0; k < free_bits.size(); ++k)
         if ((m >> k) & 1u) ic |= 1u << free_bits[k];
 
-      std::uint32_t po = 0, ns = 0;
-      circuit.step(ps_code, ic, po, ns);
+      const std::uint32_t po = table.output(static_cast<int>(ps_code), ic);
+      const auto ns =
+          static_cast<std::uint32_t>(table.next(static_cast<int>(ps_code), ic));
       if (ns != ns_code) {
         if (message)
           *message = strf("state %s input %u: next code %u, expected %u",

@@ -202,6 +202,35 @@ TEST_P(ScanOutFallbackTest, BudgetExhaustedUioStillCoversAllTransitions) {
 INSTANTIATE_TEST_SUITE_P(Circuits, ScanOutFallbackTest,
                          ::testing::Values("lion", "dk27"));
 
+TEST_F(RobustPipelineTest, BudgetReachesTestChaining) {
+  // bbsse's UIO derivation fits in 30000 expansions; its transfer searches
+  // need nearly three times that. The budget applies to each stage on its
+  // own, so UIO completes and chaining is cut short.
+  const CircuitExperiment exp = run_circuit("bbsse");
+  const StateTable& t = exp.table;
+  ASSERT_FALSE(exp.gen.degraded);
+
+  GeneratorOptions options;
+  options.budget.max_expansions = 30'000;
+  const GeneratorResult r = generate_functional_tests(t, options);
+  EXPECT_TRUE(r.uios.complete());
+  EXPECT_EQ(r.uios.count(), exp.gen.uios.count());
+  EXPECT_TRUE(r.degraded);
+  EXPECT_GT(r.transfer_aborted_searches, 0u);
+  EXPECT_EQ(r.degradation().rfind("test chaining (", 0), 0u) << r.degradation();
+  r.tests.validate(t);
+
+  // Every state-transition is still tested, and state-transition fault
+  // coverage stays at 100%: a test whose transfer search was cut short
+  // ends in a scan-out.
+  for (std::size_t id = 0; id < r.tested_by.size(); ++id)
+    EXPECT_GE(r.tested_by[id], 0) << "transition " << id << " untested";
+  const StCoverageResult cov =
+      simulate_st_faults(t, r.tests, enumerate_st_faults(t));
+  EXPECT_EQ(cov.detected, cov.total);
+  EXPECT_GT(r.tests.size(), exp.gen.tests.size());
+}
+
 // --- Structured-error boundaries -----------------------------------------
 
 TEST_F(RobustPipelineTest, TryGenerateTreatsUioExhaustionAsDegradedSuccess) {

@@ -182,6 +182,27 @@ TEST(AtomicWrite, FailureLeavesPreviousFileUntouched) {
   EXPECT_EQ(read_all(path), "keep me\n");
 }
 
+TEST(AtomicWrite, ReplaceWithoutSyncKeepsTheSameContract) {
+  // atomic_replace_file drops only the fsyncs: it writes and replaces
+  // exactly, leaves no temporary, and a failed rewrite keeps the old bytes.
+  const std::string dir = fresh_dir("atomic_replace");
+  std::string error;
+  ASSERT_TRUE(store::make_dirs(dir, &error)) << error;
+  const std::string path = dir + "/out.txt";
+  ASSERT_TRUE(store::atomic_replace_file(path, "first\n", &error)) << error;
+  ASSERT_TRUE(store::atomic_replace_file(path, "second, longer\n", &error))
+      << error;
+  EXPECT_EQ(read_all(path), "second, longer\n");
+  for (const std::string& name : store::list_dir(dir))
+    EXPECT_EQ(name, "out.txt");
+
+  EXPECT_FALSE(store::atomic_replace_file(kUnusableDir, "x", &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(
+      store::atomic_replace_file(path + "/impossible", "x", &error));
+  EXPECT_EQ(read_all(path), "second, longer\n");
+}
+
 // --- store basics ---------------------------------------------------------
 
 TEST(StoreBasic, PutGetRoundTripAndCounters) {

@@ -84,7 +84,13 @@ TEST(Verify, DetectsBehaviouralMismatch) {
   std::swap(wrong.code_of_state[0], wrong.code_of_state[1]);
   std::string msg;
   EXPECT_FALSE(circuit_matches_fsm(r.circuit, lion, wrong, &msg));
-  EXPECT_FALSE(msg.empty());
+  // The first mismatch in row order, pinned verbatim; checking the
+  // read-back table directly reports the same one.
+  EXPECT_EQ(msg, "state st0 input 0: output bit 0 is 1, expected 0");
+  std::string from_table;
+  EXPECT_FALSE(table_matches_fsm(read_back_table(r.circuit), lion, wrong,
+                                 &from_table));
+  EXPECT_EQ(from_table, msg);
 }
 
 TEST(Synth, CoversAreWithinSpec) {

@@ -27,6 +27,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/static_faults.h"
@@ -157,7 +158,7 @@ void write_output(const std::string& path, const std::string& text) {
     return;
   }
   std::string error;
-  require(store::atomic_write_file(path, text, &error),
+  require(store::atomic_replace_file(path, text, &error),
           "cannot write " + path + ": " + error);
   std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
@@ -206,16 +207,9 @@ int cmd_gen(const std::string& target, const std::string& out,
   CircuitExperiment exp = run_fsm(load_machine(target), options);
   if (exp.gen.degraded)
     std::fprintf(stderr,
-                 "warning: budget exhausted during UIO search (%d states "
-                 "aborted); falling back to scan-out — coverage is "
-                 "preserved, cycle count may rise\n",
-                 exp.gen.uio_aborted_states());
-
-  TestFile file;
-  file.circuit = exp.fsm.name;
-  file.input_bits = exp.table.input_bits();
-  file.state_bits = exp.synth.circuit.num_sv;
-  file.tests = exp.gen.tests;
+                 "warning: budget exhausted during %s; falling back to "
+                 "scan-out — coverage is preserved, cycle count may rise\n",
+                 exp.gen.degradation().c_str());
 
   const int sv = exp.synth.circuit.num_sv;
   std::fprintf(stderr,
@@ -227,6 +221,12 @@ int cmd_gen(const std::string& target, const std::string& out,
                    static_cast<double>(test_application_cycles(sv, exp.gen.tests)) /
                    static_cast<double>(per_transition_cycles(
                        sv, exp.table.num_transitions())));
+
+  TestFile file;
+  file.circuit = exp.fsm.name;
+  file.input_bits = exp.table.input_bits();
+  file.state_bits = sv;
+  file.tests = std::move(exp.gen.tests);  // exp is not read past this point
   if (out.empty()) {
     std::cout << write_test_file(file);
   } else {
