@@ -93,6 +93,16 @@ bool RunGuard::tick(std::uint64_t work) {
   return true;
 }
 
+bool RunGuard::poll() {
+  if (exhausted()) return false;
+  if (budget_.time_budget_ms > 0.0 &&
+      timer_.seconds() * 1000.0 > budget_.time_budget_ms) {
+    trip_once(BudgetTrip::kDeadline);
+    return false;
+  }
+  return true;
+}
+
 bool RunGuard::charge_memory(std::size_t bytes) {
   if (exhausted()) return false;
   const std::size_t total =

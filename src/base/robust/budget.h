@@ -77,6 +77,12 @@ class RunGuard {
   /// the first trip (on any thread).
   bool tick(std::uint64_t work = 1);
 
+  /// Check the deadline now, without charging work: for loop heads whose
+  /// iterations are too coarse (a whole good-machine batch) to wait for
+  /// tick's amortized clock read. Returns true while within budget; sticky
+  /// like tick.
+  bool poll();
+
   /// Charge an allocation estimate against max_memory_bytes. Call before
   /// the allocation itself so the guard can veto it. Returns true while
   /// within budget.

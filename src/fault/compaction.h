@@ -1,5 +1,8 @@
 #pragma once
 
+#include <vector>
+
+#include "base/robust/budget.h"
 #include "fault/fault_sim.h"
 
 namespace fstg {
@@ -29,5 +32,18 @@ CompactionResult select_effective_tests(const ScanCircuit& circuit,
                                         const TestSet& tests,
                                         const std::vector<FaultSpec>& faults,
                                         const FaultSimOptions& sim_options = {});
+
+/// select_effective_tests over several fault lists at once, under one
+/// budget: a single fault simulation of the lists' concatenation, so the
+/// good-machine trace and excitation index of every test batch are built
+/// once for all of them. Entry i equals
+/// select_effective_tests(circuit, tests, *lists[i], sim_options): a
+/// fault's first detecting test does not depend on which other faults are
+/// simulated beside it. If `guard` trips, every entry has
+/// `sim.complete == false` and its detections are a lower bound.
+std::vector<CompactionResult> select_effective_tests_guarded(
+    const ScanCircuit& circuit, const TestSet& tests,
+    const std::vector<const std::vector<FaultSpec>*>& lists,
+    robust::RunGuard& guard, const FaultSimOptions& sim_options = {});
 
 }  // namespace fstg

@@ -33,9 +33,9 @@ static std::vector<std::pair<std::size_t, std::size_t>> weight_chunks(
     int threads) {
   std::size_t total = 0;
   for (std::size_t f : alive) total += weight[f] + 1;
-  // ~4 chunks per worker gives the stealing deques slack to rebalance.
+  // ~16 chunks per worker gives the stealing deques slack to rebalance.
   const std::size_t target = std::max<std::size_t>(
-      1, total / (static_cast<std::size_t>(threads) * 4));
+      1, total / (static_cast<std::size_t>(threads) * 16));
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
   std::size_t lo = 0;
   std::size_t acc = 0;
@@ -94,15 +94,22 @@ void run_engine(FaultSimEngineContext& ctx) {
         static_cast<std::size_t>(Lanes::kBits), ctx.patterns.size() - base);
     const std::span<const ScanPattern> batch =
         ctx.patterns.subspan(base, count);
+    // The good-machine pass and the index sweep run between fault ticks,
+    // and on one long test they outlast whole runs of short batches: poll
+    // the deadline before paying for each, not only every few thousand
+    // ticks.
+    if (!ctx.guard.poll()) break;
     c_batches.inc();
     c_simulated.add(alive.size());  // per-batch (fault, test-batch) evals
     h_batch_live.observe(alive.size());
     GoodTraceT<V> good = sims[0]->run_good(batch);
-    // One excitation/observability index per batch, shared read-only by
-    // every worker. Event-driven only: the full-cone baseline (serial_seed)
-    // must keep paying its historical cost, not ours.
+    if (!ctx.guard.poll()) break;
+    // One excitation/observability index per batch, swept across the pool
+    // and then shared read-only by every worker. Event-driven only: the
+    // full-cone baseline (serial_seed) must keep paying its historical
+    // cost, not ours.
     if (ctx.mode == FaultyEval::kEventDriven)
-      sims[0]->build_excitation_index(good);
+      sims[0]->build_excitation_index(good, ctx.threads);
 
     // Each live fault is simulated independently against the shared good
     // trace; detected_by writes are disjoint per fault, so workers need no
@@ -112,6 +119,9 @@ void run_engine(FaultSimEngineContext& ctx) {
     const auto simulate_range = [&](int slot, std::size_t lo, std::size_t hi) {
       ScanBatchSimT<V>& sim = *sims[static_cast<std::size_t>(slot)];
       for (std::size_t i = lo; i < hi; ++i) {
+        // tick reads the clock only every few thousand ticks, and one fault
+        // on a long batch can take a millisecond: poll every 64 faults too.
+        if ((i - lo) % 64 == 0 && !ctx.guard.poll()) return;
         if (!ctx.guard.tick(count)) return;
         const std::size_t f = alive[i];
         const V det =
@@ -163,12 +173,10 @@ void run_engine(FaultSimEngineContext& ctx) {
     alive.swap(still_alive);
     g_alive.set(static_cast<std::int64_t>(alive.size()));
 
-    if (ctx.guard.exhausted()) {
-      // Partial result: detections so far stand; the rest is unknown.
-      result.complete = false;
-      break;
-    }
+    if (ctx.guard.exhausted()) break;
   }
+  // Partial result: detections so far stand; the rest is unknown.
+  if (ctx.guard.exhausted()) result.complete = false;
   for (const auto& sim : sims) {
     ctx.logic_stats += sim->sim_stats();
     ctx.scan_stats += sim->stats();

@@ -20,6 +20,16 @@ RedundancyResult classify_faults_from(const ScanCircuit& circuit,
                                       const std::vector<int>& detected_by,
                                       const std::vector<BitVec>* reach,
                                       const analysis::StaticAnalyzer* statics) {
+  return classify_faults_from(circuit, faults, detected_by, reach, statics,
+                              nullptr);
+}
+
+RedundancyResult classify_faults_from(const ScanCircuit& circuit,
+                                      const std::vector<FaultSpec>& faults,
+                                      const std::vector<int>& detected_by,
+                                      const std::vector<BitVec>* reach,
+                                      const analysis::StaticAnalyzer* statics,
+                                      robust::RunGuard* guard) {
   require(detected_by.size() == faults.size(),
           "classify_faults_from: result/fault list size mismatch");
 
@@ -89,6 +99,8 @@ RedundancyResult classify_faults_from(const ScanCircuit& circuit,
     std::vector<std::size_t> still_missed_local;
     still_missed.reserve(missed.size());
     for (std::size_t i = 0; i < missed.size(); ++i) {
+      if (guard != nullptr && !guard->tick(count))
+        throw BudgetError(guard->status().message());
       const std::size_t f = missed[i];
       if (sim.run_faulty(batch, good, missed_faults[i], &cones[i]) != 0) {
         result.status[f] = FaultStatus::kMissedDetectable;

@@ -58,4 +58,13 @@ RedundancyResult classify_faults_from(
     const std::vector<BitVec>* reach = nullptr,
     const analysis::StaticAnalyzer* statics = nullptr);
 
+/// Budgeted variant: `guard` (null = unbudgeted) is ticked once per
+/// (exhaustive batch, remaining miss) pair, weighted by the batch width,
+/// like the fault simulation's own guard. A classification cut short
+/// proves nothing, so exhaustion throws BudgetError.
+RedundancyResult classify_faults_from(
+    const ScanCircuit& circuit, const std::vector<FaultSpec>& faults,
+    const std::vector<int>& detected_by, const std::vector<BitVec>* reach,
+    const analysis::StaticAnalyzer* statics, robust::RunGuard* guard);
+
 }  // namespace fstg

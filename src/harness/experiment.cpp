@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <memory>
+#include <optional>
 
 #include "analysis/static_faults.h"
 #include "base/error.h"
@@ -105,7 +106,12 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
                                bool classify_redundancy) {
   GateLevelOptions options;
   options.classify_redundancy = classify_redundancy;
-  return run_gate_level(exp, options);
+  return run_gate_level(exp, exp.gen.tests, options);
+}
+
+GateLevelResult run_gate_level(const CircuitExperiment& exp,
+                               const GateLevelOptions& options) {
+  return run_gate_level(exp, exp.gen.tests, options);
 }
 
 namespace {
@@ -138,8 +144,8 @@ robust::Status stage_status(const char* stage, const std::string& circuit) {
 }  // namespace
 
 GateLevelResult run_gate_level(const CircuitExperiment& exp,
+                               const TestSet& tests,
                                const GateLevelOptions& options) {
-  const bool classify_redundancy = options.classify_redundancy;
   GateLevelResult result;
   const ScanCircuit& circuit = exp.synth.circuit;
   store::Store* cache = store::resolve(options.cache);
@@ -228,29 +234,36 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
   sim_options.threads = options.threads;
   sim_options.reachability = &reach;
 
+  std::optional<robust::RunGuard> own_guard;
+  robust::RunGuard& guard =
+      options.guard ? *options.guard
+                    : own_guard.emplace(robust::Budget{}, "fault_sim.batch");
   {
-    obs::StageScope scope("gate_level.stuck_at",
-                   std::to_string(result.sa_faults.size()) + " faults");
-    result.sa = select_effective_tests(circuit, exp.gen.tests,
-                                       result.sa_faults, sim_options);
-  }
-  {
-    obs::StageScope scope("gate_level.bridging",
-                   std::to_string(result.br_faults.size()) + " faults");
-    result.br = select_effective_tests(circuit, exp.gen.tests,
-                                       result.br_faults, sim_options);
+    // One fault simulation for both lists: they share the longest-first
+    // test order, so every batch's good-machine trace and excitation index
+    // serve stuck-at and bridging alike.
+    obs::StageScope scope(
+        "gate_level.compaction",
+        std::to_string(result.sa_faults.size() + result.br_faults.size()) +
+            " faults");
+    std::vector<CompactionResult> lists = select_effective_tests_guarded(
+        circuit, tests, {&result.sa_faults, &result.br_faults}, guard,
+        sim_options);
+    if (!lists[0].sim.complete) throw BudgetError(guard.status().message());
+    result.sa = std::move(lists[0]);
+    result.br = std::move(lists[1]);
   }
 
-  if (classify_redundancy) {
+  if (options.classify_redundancy) {
     // Reuse the compaction pass's simulation: only the misses get the
     // exhaustive re-check.
     obs::StageScope scope("redundancy.classify", exp.fsm.name);
-    result.sa_redundancy =
-        classify_faults_from(circuit, result.sa_faults,
-                             result.sa.sim.detected_by, &reach, statics.get());
-    result.br_redundancy =
-        classify_faults_from(circuit, result.br_faults,
-                             result.br.sim.detected_by, &reach, statics.get());
+    result.sa_redundancy = classify_faults_from(
+        circuit, result.sa_faults, result.sa.sim.detected_by, &reach,
+        statics.get(), &guard);
+    result.br_redundancy = classify_faults_from(
+        circuit, result.br_faults, result.br.sim.detected_by, &reach,
+        statics.get(), &guard);
     // Statically pruned faults are proven-undetectable: fold them back into
     // the totals so headline counts match an unpruned run.
     result.sa_redundancy.undetectable += result.sa_pruned;

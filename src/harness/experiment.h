@@ -90,6 +90,12 @@ struct GateLevelOptions {
   /// the redundancy classifier, so statically-resolved misses skip the
   /// exhaustive scan.
   bool static_prune = false;
+  /// Budget for the whole evaluation: the one fault simulation of both
+  /// lists and the redundancy classification tick it. A partial result
+  /// would under-report coverage, so exhaustion throws BudgetError. Null
+  /// means an unlimited guard at the "fault_sim.batch" site (which the
+  /// fault-injection harness can still trip).
+  robust::RunGuard* guard = nullptr;
 };
 
 struct GateLevelResult {
@@ -113,6 +119,11 @@ struct GateLevelResult {
   std::size_t static_equiv_merged = 0;
 };
 
+/// Evaluate `tests` (e.g. a test file's) on `exp`'s implementation.
+GateLevelResult run_gate_level(const CircuitExperiment& exp,
+                               const TestSet& tests,
+                               const GateLevelOptions& options = {});
+/// Evaluate the experiment's own generated tests (`exp.gen.tests`).
 GateLevelResult run_gate_level(const CircuitExperiment& exp,
                                const GateLevelOptions& options = {});
 GateLevelResult run_gate_level(const CircuitExperiment& exp,

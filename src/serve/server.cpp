@@ -30,8 +30,6 @@
 #include "base/obs/telemetry.h"
 #include "base/store/hash.h"
 #include "base/store/ledger.h"
-#include "fault/fault.h"
-#include "fault/fault_sim.h"
 #include "harness/experiment.h"
 #include "kiss/kiss2_parser.h"
 #include "kiss/kiss2_writer.h"
@@ -360,24 +358,17 @@ struct Server::Impl {
 
     // Same contract as `fstg sim`: a partial fault simulation would
     // under-report coverage, so exhaustion is a hard budget failure
-    // (status "budget"), never a silently degraded result.
+    // (status "budget"), never a silently degraded result. Redundancy
+    // classification is exhaustive and serial; the daemon keeps latency
+    // bounded and reports raw coverage (use `fstg sim` offline for the
+    // detectable-coverage view). The static pre-flight is polynomial, so
+    // request-level opt-in is allowed.
     robust::RunGuard guard(budget, "fault_sim.batch");
-    const std::vector<FaultSpec> sa_faults =
-        enumerate_stuck_at(exp.synth.circuit.comb);
-    FaultSimResult sa = simulate_faults_guarded(exp.synth.circuit, file.tests,
-                                                sa_faults, guard);
-    if (!sa.complete) throw BudgetError(guard.status().message());
-
-    CircuitExperiment shim = exp;
-    shim.gen.tests = file.tests;
-    // Redundancy classification is exhaustive and serial; the daemon keeps
-    // latency bounded and reports raw coverage (use `fstg sim` offline for
-    // the detectable-coverage view). The static pre-flight is polynomial,
-    // so request-level opt-in is allowed.
     GateLevelOptions gate_options;
     gate_options.classify_redundancy = false;
     gate_options.static_prune = req.static_prune;
-    GateLevelResult gate = run_gate_level(shim, gate_options);
+    gate_options.guard = &guard;
+    const GateLevelResult gate = run_gate_level(exp, file.tests, gate_options);
 
     std::ostringstream os;
     os.precision(3);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "base/error.h"
+#include "base/parallel/thread_pool.h"
 #include "netlist/netlist.h"
 #include "sim/logic_sim.h"
 
@@ -198,8 +199,11 @@ class ScanBatchSimT {
   /// sensitivity sweep per cycle over the netlist — roughly the cost of one
   /// extra good simulation per batch). The engine calls this once per batch
   /// for event-driven runs; the index is then shared read-only by every
-  /// worker's run_faulty.
-  void build_excitation_index(GoodTraceT<V>& good) const;
+  /// worker's run_faulty. The sweep runs in 64-cycle blocks over up to
+  /// `threads` pool slots (parallel::parallel_for semantics); each block
+  /// writes only its own word of every bitset, so the index is
+  /// bit-identical for any thread count.
+  void build_excitation_index(GoodTraceT<V>& good, int threads = 1) const;
 
   const ScanCircuit& circuit() const { return *circuit_; }
 
@@ -243,6 +247,8 @@ class ScanBatchSimT {
   std::vector<std::uint32_t> scratch_state_;
   std::vector<std::uint32_t> scratch_state_x_;
   std::vector<std::uint64_t> scratch_cand_;
+  std::vector<V> scratch_in_;    // load_cycle: per-input lane words
+  std::vector<V> scratch_in_x_;  // load_cycle: per-input X lane words
   std::vector<int> scratch_po_cone_;
   std::vector<int> scratch_sv_cone_;
 };
@@ -257,30 +263,44 @@ void ScanBatchSimT<V>::load_cycle(std::span<const ScanPattern> batch,
                                   const std::vector<std::uint32_t>& state,
                                   const std::vector<std::uint32_t>& state_x,
                                   std::size_t c) {
+  // Scatter each lane's set bits into the per-input lane words: the cost
+  // follows the set bits of the lanes still running, not 64 lanes times
+  // every input (most lanes of a long batch have finished their test).
   const int num_pi = circuit_->num_pi;
   const int num_sv = circuit_->num_sv;
-  sim_.clear_input_x();
-  for (int b = 0; b < num_pi; ++b) {
-    V w = Lanes::zero();
-    V wx = Lanes::zero();
-    for (std::size_t l = 0; l < batch.size(); ++l) {
-      if (c >= batch[l].inputs.size()) continue;
-      if ((batch[l].inputs[c] >> b) & 1u) Lanes::set(w, static_cast<int>(l));
-      if (c < batch[l].input_x.size() && ((batch[l].input_x[c] >> b) & 1u))
-        Lanes::set(wx, static_cast<int>(l));
+  const std::size_t num_in = static_cast<std::size_t>(num_pi + num_sv);
+  const auto low_bits = [](int n) {
+    return n >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << n) - 1u;
+  };
+  const std::uint32_t pi_mask = low_bits(num_pi);
+  const std::uint32_t sv_mask = low_bits(num_sv);
+  scratch_in_.assign(num_in, Lanes::zero());
+  scratch_in_x_.assign(num_in, Lanes::zero());
+  const auto scatter = [](std::vector<V>& words, std::size_t offset,
+                          std::uint32_t bits, int lane) {
+    for (; bits != 0; bits &= bits - 1)
+      Lanes::set(
+          words[offset + static_cast<std::size_t>(std::countr_zero(bits))],
+          lane);
+  };
+  for (std::size_t l = 0; l < batch.size(); ++l) {
+    const int lane = static_cast<int>(l);
+    const ScanPattern& p = batch[l];
+    if (c < p.inputs.size()) {
+      scatter(scratch_in_, 0, p.inputs[c] & pi_mask, lane);
+      if (c < p.input_x.size())
+        scatter(scratch_in_x_, 0, p.input_x[c] & pi_mask, lane);
     }
-    sim_.set_input(b, w);
-    if (Lanes::any(wx)) sim_.set_input_x(b, wx);
+    scatter(scratch_in_, static_cast<std::size_t>(num_pi), state[l] & sv_mask,
+            lane);
+    scatter(scratch_in_x_, static_cast<std::size_t>(num_pi),
+            state_x[l] & sv_mask, lane);
   }
-  for (int k = 0; k < num_sv; ++k) {
-    V w = Lanes::zero();
-    V wx = Lanes::zero();
-    for (std::size_t l = 0; l < batch.size(); ++l) {
-      if ((state[l] >> k) & 1u) Lanes::set(w, static_cast<int>(l));
-      if ((state_x[l] >> k) & 1u) Lanes::set(wx, static_cast<int>(l));
-    }
-    sim_.set_input(num_pi + k, w);
-    if (Lanes::any(wx)) sim_.set_input_x(num_pi + k, wx);
+  sim_.clear_input_x();
+  for (std::size_t i = 0; i < num_in; ++i) {
+    sim_.set_input(static_cast<int>(i), scratch_in_[i]);
+    if (Lanes::any(scratch_in_x_[i]))
+      sim_.set_input_x(static_cast<int>(i), scratch_in_x_[i]);
   }
 }
 
@@ -364,7 +384,8 @@ GoodTraceT<V> ScanBatchSimT<V>::run_good(std::span<const ScanPattern> batch) {
 }
 
 template <class V>
-void ScanBatchSimT<V>::build_excitation_index(GoodTraceT<V>& good) const {
+void ScanBatchSimT<V>::build_excitation_index(GoodTraceT<V>& good,
+                                              int threads) const {
   const Netlist& nl = circuit_->comb;
   const std::size_t n = static_cast<std::size_t>(nl.num_gates());
   const std::size_t rows = good.gate_values.size();
@@ -411,100 +432,130 @@ void ScanBatchSimT<V>::build_excitation_index(GoodTraceT<V>& good) const {
     std::copy(gate.fanins.begin(), gate.fanins.end(),
               fanin_ids.begin() + good.exc_pin_base[g]);
   }
-  // S[g] = per-lane sensitivity of g's FFR head to g, valid for the cycle
-  // being swept: an interior gate's unique fanout has a higher id (the
-  // netlist is topological), so the descending sweep writes S[g] before g
-  // is visited. Heads never read their slot.
-  std::vector<V> S(n);
-  std::vector<V> prefix(max_fanins + 1);
-  std::vector<V> suffix(max_fanins + 1);
-
-  const V ones = Lanes::ones();
-  const V zero = Lanes::zero();
-  for (std::size_t c = 0; c < rows; ++c) {
-    const std::uint64_t bit = std::uint64_t{1} << (c & 63);
-    const std::size_t w = c >> 6;
-    if (good.cycle_has_x(c)) {
-      // X cycles are candidates for every fault; no per-gate bits needed.
-      good.exc_x[w] |= bit;
-      continue;
-    }
-    const V* row = good.gate_values[c].data();
-    for (std::size_t gi = n; gi-- > 0;) {
-      const V Sg = is_head[gi] ? ones : S[gi];
-      const V v = row[gi];
-      const std::size_t at = gi * W + w;
-      if (Lanes::any(v)) good.exc_any1[at] |= bit;
-      if (v != ones) good.exc_any0[at] |= bit;
-      const std::size_t begin = good.exc_pin_base[gi];
-      const std::size_t k = good.exc_pin_base[gi + 1] - begin;
-      const int* fan = fanin_ids.data() + begin;
-      if (!Lanes::any(Sg)) {
-        // Blocked everywhere: no lane of this gate reaches its head, so its
-        // obs and pin bits stay clear and so does every fanin's sensitivity.
-        for (std::size_t p = 0; p < k; ++p) {
-          const std::size_t f = static_cast<std::size_t>(fan[p]);
-          if (!is_head[f]) S[f] = zero;
+  // The sweep is block-parallel: block w covers cycles [64w, 64w + 64) and
+  // owns word w of every bitset. Each block collects its words in local
+  // arrays (one word per gate / pin entry) and writes them back once, so
+  // blocks never touch a shared word and the index is bit-identical for
+  // any thread count.
+  const std::size_t pins = good.exc_pin_base[n];
+  const auto sweep = [&](int /*slot*/, std::size_t wlo, std::size_t whi) {
+    // S[g] = per-lane sensitivity of g's FFR head to g, valid for the cycle
+    // being swept: an interior gate's unique fanout has a higher id (the
+    // netlist is topological), so the descending sweep writes S[g] before g
+    // is visited. Heads never read their slot.
+    std::vector<V> S(n);
+    std::vector<V> prefix(max_fanins + 1);
+    std::vector<V> suffix(max_fanins + 1);
+    std::vector<std::uint64_t> any1(n), any0(n), obs1(n), obs0(n);
+    std::vector<std::uint64_t> pin_obs1(pins), pin_obs0(pins);
+    const V ones = Lanes::ones();
+    const V zero = Lanes::zero();
+    for (std::size_t w = wlo; w < whi; ++w) {
+      std::fill(any1.begin(), any1.end(), 0);
+      std::fill(any0.begin(), any0.end(), 0);
+      std::fill(obs1.begin(), obs1.end(), 0);
+      std::fill(obs0.begin(), obs0.end(), 0);
+      std::fill(pin_obs1.begin(), pin_obs1.end(), 0);
+      std::fill(pin_obs0.begin(), pin_obs0.end(), 0);
+      std::uint64_t x_word = 0;
+      const std::size_t c_end = std::min(rows, (w + 1) * 64);
+      for (std::size_t c = w * 64; c < c_end; ++c) {
+        const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+        if (good.cycle_has_x(c)) {
+          // X cycles are candidates for every fault; no per-gate bits needed.
+          x_word |= bit;
+          continue;
         }
-        continue;
+        const V* row = good.gate_values[c].data();
+        for (std::size_t gi = n; gi-- > 0;) {
+          const V Sg = is_head[gi] ? ones : S[gi];
+          const V v = row[gi];
+          if (Lanes::any(v)) any1[gi] |= bit;
+          if (v != ones) any0[gi] |= bit;
+          const std::size_t begin = good.exc_pin_base[gi];
+          const std::size_t k = good.exc_pin_base[gi + 1] - begin;
+          const int* fan = fanin_ids.data() + begin;
+          if (!Lanes::any(Sg)) {
+            // Blocked everywhere: no lane of this gate reaches its head, so
+            // its obs and pin bits stay clear and so does every fanin's
+            // sensitivity.
+            for (std::size_t p = 0; p < k; ++p) {
+              const std::size_t f = static_cast<std::size_t>(fan[p]);
+              if (!is_head[f]) S[f] = zero;
+            }
+            continue;
+          }
+          if (Lanes::any(v & Sg)) obs1[gi] |= bit;
+          if (Lanes::any(~v & Sg)) obs0[gi] |= bit;
+          if (k == 0) continue;
+          // Per-pin work (two-valued; X cycles never reach this sweep):
+          //  - pin observability bits: a stuck pin deviates the gate where
+          //    its driver disagrees with the stuck value AND the pin is
+          //    locally sensitive (every other fanin non-controlling); the
+          //    deviation changes the head where the gate is head-sensitive
+          //    on such a lane.
+          //  - head sensitivity pushed down to interior fanins:
+          //    S_fanin = S_g AND the pin's local sensitivity.
+          const auto emit = [&](std::size_t p, const V& reach) {
+            const V vd = row[fan[p]];
+            if (Lanes::any(vd & reach)) pin_obs1[begin + p] |= bit;
+            if (Lanes::any(~vd & reach)) pin_obs0[begin + p] |= bit;
+            const std::size_t f = static_cast<std::size_t>(fan[p]);
+            if (!is_head[f]) S[f] = reach;
+          };
+          switch (types[gi]) {
+            case GateType::kBuf:
+            case GateType::kNot:
+            case GateType::kXor:
+            case GateType::kXnor:
+              // A toggle on any input always toggles the output.
+              for (std::size_t p = 0; p < k; ++p) emit(p, Sg);
+              break;
+            case GateType::kAnd:
+            case GateType::kNand: {
+              // Pin p is sensitive where every *other* fanin is 1.
+              prefix[0] = Sg;
+              for (std::size_t p = 0; p < k; ++p)
+                prefix[p + 1] = prefix[p] & row[fan[p]];
+              suffix[k] = ones;
+              for (std::size_t p = k; p-- > 0;)
+                suffix[p] = suffix[p + 1] & row[fan[p]];
+              for (std::size_t p = 0; p < k; ++p)
+                emit(p, prefix[p] & suffix[p + 1]);
+              break;
+            }
+            case GateType::kOr:
+            case GateType::kNor: {
+              // Pin p is sensitive where every *other* fanin is 0.
+              prefix[0] = zero;
+              for (std::size_t p = 0; p < k; ++p)
+                prefix[p + 1] = prefix[p] | row[fan[p]];
+              suffix[k] = zero;
+              for (std::size_t p = k; p-- > 0;)
+                suffix[p] = suffix[p + 1] | row[fan[p]];
+              for (std::size_t p = 0; p < k; ++p)
+                emit(p, Sg & ~(prefix[p] | suffix[p + 1]));
+              break;
+            }
+            default:
+              break;  // inputs/constants have no fanins
+          }
+        }
       }
-      if (Lanes::any(v & Sg)) good.exc_obs1[at] |= bit;
-      if (Lanes::any(~v & Sg)) good.exc_obs0[at] |= bit;
-      if (k == 0) continue;
-      const std::size_t pin_at = begin * W + w;
-      // Per-pin work (two-valued; X cycles never reach this sweep):
-      //  - pin observability bits: a stuck pin deviates the gate where its
-      //    driver disagrees with the stuck value AND the pin is locally
-      //    sensitive (every other fanin non-controlling); the deviation
-      //    changes the head where the gate is head-sensitive on such a lane.
-      //  - head sensitivity pushed down to interior fanins:
-      //    S_fanin = S_g AND the pin's local sensitivity.
-      const auto emit = [&](std::size_t p, const V& reach) {
-        const V vd = row[fan[p]];
-        if (Lanes::any(vd & reach)) good.exc_pin_obs1[pin_at + p * W] |= bit;
-        if (Lanes::any(~vd & reach)) good.exc_pin_obs0[pin_at + p * W] |= bit;
-        const std::size_t f = static_cast<std::size_t>(fan[p]);
-        if (!is_head[f]) S[f] = reach;
-      };
-      switch (types[gi]) {
-        case GateType::kBuf:
-        case GateType::kNot:
-        case GateType::kXor:
-        case GateType::kXnor:
-          // A toggle on any input always toggles the output.
-          for (std::size_t p = 0; p < k; ++p) emit(p, Sg);
-          break;
-        case GateType::kAnd:
-        case GateType::kNand: {
-          // Pin p is sensitive where every *other* fanin is 1.
-          prefix[0] = Sg;
-          for (std::size_t p = 0; p < k; ++p)
-            prefix[p + 1] = prefix[p] & row[fan[p]];
-          suffix[k] = ones;
-          for (std::size_t p = k; p-- > 0;)
-            suffix[p] = suffix[p + 1] & row[fan[p]];
-          for (std::size_t p = 0; p < k; ++p)
-            emit(p, prefix[p] & suffix[p + 1]);
-          break;
-        }
-        case GateType::kOr:
-        case GateType::kNor: {
-          // Pin p is sensitive where every *other* fanin is 0.
-          prefix[0] = Lanes::zero();
-          for (std::size_t p = 0; p < k; ++p)
-            prefix[p + 1] = prefix[p] | row[fan[p]];
-          suffix[k] = Lanes::zero();
-          for (std::size_t p = k; p-- > 0;)
-            suffix[p] = suffix[p + 1] | row[fan[p]];
-          for (std::size_t p = 0; p < k; ++p)
-            emit(p, Sg & ~(prefix[p] | suffix[p + 1]));
-          break;
-        }
-        default:
-          break;  // inputs/constants have no fanins
+      for (std::size_t g = 0; g < n; ++g) {
+        good.exc_any1[g * W + w] = any1[g];
+        good.exc_any0[g * W + w] = any0[g];
+        good.exc_obs1[g * W + w] = obs1[g];
+        good.exc_obs0[g * W + w] = obs0[g];
       }
+      for (std::size_t e = 0; e < pins; ++e) {
+        good.exc_pin_obs1[e * W + w] = pin_obs1[e];
+        good.exc_pin_obs0[e * W + w] = pin_obs0[e];
+      }
+      good.exc_x[w] = x_word;
     }
-  }
+  };
+  parallel::parallel_for(W, /*grain=*/1, threads, sweep);
   good.exc_built = true;
 }
 

@@ -7,12 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+
 #include "base/parallel/thread_pool.h"
+#include "base/rng.h"
 #include "base/robust/budget.h"
 #include "fault/bridging.h"
+#include "fault/compaction.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
 #include "netlist/reach.h"
+#include "sim/scan_sim.h"
 
 namespace fstg {
 namespace {
@@ -170,6 +176,96 @@ TEST(FaultSimParallel, SuiteWorkersInheritInjections) {
     EXPECT_FALSE(run.status.is_ok());
     EXPECT_EQ(run.failed_stage, "gate-level");
     EXPECT_EQ(run.status.code(), robust::Code::kBudgetExhausted);
+  }
+}
+
+void expect_same_index(const GoodTrace& a, const GoodTrace& b) {
+  ASSERT_TRUE(a.exc_built);
+  ASSERT_TRUE(b.exc_built);
+  EXPECT_EQ(a.exc_words, b.exc_words);
+  EXPECT_EQ(a.exc_any1, b.exc_any1);
+  EXPECT_EQ(a.exc_any0, b.exc_any0);
+  EXPECT_EQ(a.exc_obs1, b.exc_obs1);
+  EXPECT_EQ(a.exc_obs0, b.exc_obs0);
+  EXPECT_EQ(a.exc_pin_obs1, b.exc_pin_obs1);
+  EXPECT_EQ(a.exc_pin_obs0, b.exc_pin_obs0);
+  EXPECT_EQ(a.exc_pin_base, b.exc_pin_base);
+  EXPECT_EQ(a.exc_x, b.exc_x);
+}
+
+TEST(FaultSimParallel, ExcitationIndexIdenticalAcrossThreads) {
+  // The index sweep runs in 64-cycle blocks across the pool; every block
+  // owns one word of each bitset, so the bitsets must not depend on the
+  // thread count. 200 rows = three full blocks and a partial fourth, and
+  // the second batch carries X inputs (X cycles take the exc_x path).
+  CircuitExperiment exp = run_circuit("bbsse");
+  const ScanCircuit& circuit = exp.synth.circuit;
+  Rng rng(13);
+  for (bool with_x : {false, true}) {
+    SCOPED_TRACE(with_x ? "X-bearing batch" : "two-valued batch");
+    std::vector<ScanPattern> batch(40);
+    for (std::size_t l = 0; l < batch.size(); ++l) {
+      ScanPattern& p = batch[l];
+      p.init_state = static_cast<std::uint32_t>(
+          rng.below(std::uint64_t{1} << circuit.num_sv));
+      const std::size_t len = l == 0 ? 200 : rng.range(1, 199);
+      for (std::size_t c = 0; c < len; ++c) {
+        p.inputs.push_back(static_cast<std::uint32_t>(
+            rng.below(std::uint64_t{1} << circuit.num_pi)));
+        p.input_x.push_back(
+            with_x && l % 7 == 3 && c % 50 == 10 ? 1u : 0u);
+      }
+    }
+    ScanBatchSim sim(circuit);
+    GoodTrace serial = sim.run_good(batch);
+    GoodTrace parallel = sim.run_good(batch);
+    ASSERT_EQ(serial.gate_values.size(), 200u);
+    ASSERT_EQ(serial.has_x, with_x);
+    sim.build_excitation_index(serial, 1);
+    sim.build_excitation_index(parallel, 4);
+    expect_same_index(serial, parallel);
+    if (with_x) {
+      std::size_t x_cycles = 0;
+      for (std::uint64_t w : serial.exc_x) x_cycles += std::popcount(w);
+      EXPECT_GT(x_cycles, 0u);
+      EXPECT_LT(x_cycles, 200u);  // some clean cycles get per-gate bits
+    }
+  }
+}
+
+TEST(FaultSimParallel, CombinedPassEqualsSeparateSelections) {
+  // run_gate_level simulates stuck-at and bridging in one pass and splits
+  // the detections per list; each list must match its own
+  // select_effective_tests run over the same (possibly pruned) faults.
+  for (const char* name : {"lion", "bbsse", "keyb"}) {
+    const CircuitExperiment exp = run_circuit(name);
+    for (bool static_prune : {false, true}) {
+      SCOPED_TRACE(std::string(name) +
+                   (static_prune ? " static_prune" : " unpruned"));
+      GateLevelOptions options;
+      options.classify_redundancy = false;
+      options.static_prune = static_prune;
+      options.threads = 4;
+      const GateLevelResult gate = run_gate_level(exp, options);
+      FaultSimOptions sim_options;
+      sim_options.threads = 4;
+      const CompactionResult sa = select_effective_tests(
+          exp.synth.circuit, exp.gen.tests, gate.sa_faults, sim_options);
+      const CompactionResult br = select_effective_tests(
+          exp.synth.circuit, exp.gen.tests, gate.br_faults, sim_options);
+      for (const auto& [combined, separate] :
+           {std::pair{&gate.sa, &sa}, std::pair{&gate.br, &br}}) {
+        expect_same_result(combined->sim, separate->sim);
+        ASSERT_EQ(combined->effective_tests.size(),
+                  separate->effective_tests.size());
+        for (std::size_t i = 0; i < separate->effective_tests.size(); ++i) {
+          EXPECT_EQ(combined->effective_tests.tests[i].init_state,
+                    separate->effective_tests.tests[i].init_state);
+          EXPECT_EQ(combined->effective_tests.tests[i].inputs,
+                    separate->effective_tests.tests[i].inputs);
+        }
+      }
+    }
   }
 }
 

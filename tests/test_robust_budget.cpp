@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 namespace fstg::robust {
 namespace {
 
@@ -70,6 +73,28 @@ TEST_F(RunGuardTest, DeadlineTripsOnFirstCheck) {
   for (int i = 0; i < 2 && !tripped; ++i) tripped = !guard.tick();
   EXPECT_TRUE(tripped);
   EXPECT_EQ(guard.trip(), BudgetTrip::kDeadline);
+}
+
+TEST_F(RunGuardTest, PollChecksTheDeadlineBetweenAmortizedTicks) {
+  Budget b;
+  b.time_budget_ms = 1;
+  RunGuard guard(b, "test.site");
+  EXPECT_TRUE(guard.tick());  // first tick reads the clock: within budget
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(guard.tick());  // amortized: the next clock read is far off
+  EXPECT_FALSE(guard.poll());
+  EXPECT_EQ(guard.trip(), BudgetTrip::kDeadline);
+  EXPECT_FALSE(guard.tick());  // sticky
+  EXPECT_EQ(guard.expansions(), 2u);  // poll charges no work
+}
+
+TEST_F(RunGuardTest, PollWithoutDeadlineOnlyReportsTrips) {
+  Budget b;
+  b.max_expansions = 1;
+  RunGuard guard(b, "test.site");
+  EXPECT_TRUE(guard.poll());
+  EXPECT_FALSE(guard.tick(2));
+  EXPECT_FALSE(guard.poll());
 }
 
 TEST_F(RunGuardTest, StatusNamesSiteAndTrip) {

@@ -270,6 +270,56 @@ TEST_F(RobustPipelineTest, SuiteDemotesGateLevelBudgetFailure) {
   EXPECT_EQ(suite.runs[0].status.code(), robust::Code::kBudgetExhausted);
 }
 
+TEST_F(RobustPipelineTest, GateLevelGuardCoversBridgingBeyondStuckAtPass) {
+  // A budget that a stuck-at-only simulation of the file's tests fits in
+  // exactly (what `fstg sim` once checked before an unbudgeted gate-level
+  // run) must not carry the whole evaluation: the caller's guard reaches
+  // the bridging faults too, so the run stops with BudgetError.
+  CircuitExperiment exp = run_circuit("bbsse");
+  const std::vector<FaultSpec> sa = enumerate_stuck_at(exp.synth.circuit.comb);
+  std::uint64_t stuck_at_cost = 0;
+  {
+    RunGuard probe(Budget{}, "fault_sim.batch");
+    ASSERT_TRUE(simulate_faults_guarded(exp.synth.circuit, exp.gen.tests, sa,
+                                        probe)
+                    .complete);
+    stuck_at_cost = probe.expansions();
+  }
+  Budget budget;
+  budget.max_expansions = stuck_at_cost;
+  RunGuard guard(budget, "fault_sim.batch");
+  GateLevelOptions options;
+  options.classify_redundancy = false;
+  options.guard = &guard;
+  EXPECT_THROW(run_gate_level(exp, options), BudgetError);
+  EXPECT_EQ(guard.trip(), BudgetTrip::kExpansions);
+}
+
+TEST_F(RobustPipelineTest, RedundancyClassificationTicksTheGateLevelGuard) {
+  // lion's tests miss bridging faults, so classification runs the
+  // exhaustive scan. A budget that fits the fault simulation exactly must
+  // trip inside classification, not let it run unbudgeted.
+  CircuitExperiment exp = run_circuit("lion");
+  GateLevelOptions options;
+  options.classify_redundancy = false;
+  std::uint64_t sim_cost = 0;
+  {
+    RunGuard probe(Budget{}, "fault_sim.batch");
+    options.guard = &probe;
+    const GateLevelResult gate = run_gate_level(exp, options);
+    ASSERT_LT(gate.br.sim.detected_faults, gate.br.sim.total_faults);
+    sim_cost = probe.expansions();
+  }
+  Budget budget;
+  budget.max_expansions = sim_cost;
+  RunGuard guard(budget, "fault_sim.batch");
+  options.guard = &guard;
+  options.classify_redundancy = true;
+  EXPECT_THROW(run_gate_level(exp, options), BudgetError);
+  EXPECT_EQ(guard.trip(), BudgetTrip::kExpansions);
+  EXPECT_GT(guard.expansions(), sim_cost);
+}
+
 // --- Site discovery (what the fuzz harness replays against) ---------------
 
 TEST_F(RobustPipelineTest, PipelineRunDiscoversAllGuardSites) {

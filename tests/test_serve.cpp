@@ -32,6 +32,8 @@
 #include "base/obs/metrics.h"
 #include "atpg/test_io.h"
 #include "base/store/ledger.h"
+#include "fault/fault.h"
+#include "fault/fault_sim.h"
 #include "harness/experiment.h"
 #include "kiss/benchmarks.h"
 #include "kiss/kiss2_writer.h"
@@ -582,6 +584,61 @@ TEST(ServeServer, BudgetTrippedSimRecordsLedgerAndRespondsBudget) {
   EXPECT_EQ(records[1].command, "serve.gen");
   EXPECT_EQ(records[1].exit_code, 0);
   std::remove(ledger_path.c_str());
+}
+
+TEST(ServeServer, SimBudgetCoversTheWholeGateLevelPass) {
+  obs::reset_metrics();
+  ServerFixture fx("simbudget.sock");
+  fx.start();
+  serve::Client client;
+  fx.connect(&client);
+  std::string error;
+  // Warm the hot cache so the budgeted sims spend their budget simulating.
+  for (const char* circuit : {"dvram", "bbsse"}) {
+    ASSERT_TRUE(client.send(
+        serve::serve_request_to_json(gen_request("warm", circuit)), &error))
+        << error;
+    ASSERT_EQ(must_recv(client, 60000).status, "ok");
+  }
+
+  // A tight deadline: dvram's fault simulation takes about a second on a
+  // 4-core machine. The slack covers what runs before the first deadline
+  // poll (fault enumeration, reachability, the first batch's good-machine
+  // pass: ~0.15 s there) with room for sanitizer builds.
+  constexpr double kDeadlineMs = 25;
+  constexpr double kSlackMs = 10000;
+  serve::ServeRequest sim;
+  sim.id = "deadline";
+  sim.type = "sim";
+  sim.circuit = "dvram";
+  sim.tests = tests_text_for("dvram");
+  sim.budget.time_budget_ms = kDeadlineMs;
+  ASSERT_TRUE(client.send(serve::serve_request_to_json(sim), &error)) << error;
+  serve::ServeResponse resp = must_recv(client, 120000);
+  EXPECT_EQ(resp.status, "budget");
+  EXPECT_NE(resp.error.find("deadline limit"), std::string::npos)
+      << resp.error;
+  EXPECT_LT(resp.wall_ms, kDeadlineMs + kSlackMs);
+
+  // An expansion budget that a stuck-at-only simulation of the same tests
+  // fits in exactly: the request's guard also reaches the bridging faults,
+  // so it must trip rather than finish them unbudgeted.
+  const CircuitExperiment exp = run_circuit("bbsse");
+  robust::RunGuard probe(robust::Budget{}, "fault_sim.batch");
+  const std::vector<FaultSpec> sa = enumerate_stuck_at(exp.synth.circuit.comb);
+  ASSERT_TRUE(
+      simulate_faults_guarded(exp.synth.circuit, exp.gen.tests, sa, probe)
+          .complete);
+  sim.id = "expansions";
+  sim.circuit = "bbsse";
+  sim.tests = tests_text_for("bbsse");
+  sim.budget = robust::Budget{};
+  sim.budget.max_expansions = probe.expansions();
+  ASSERT_TRUE(client.send(serve::serve_request_to_json(sim), &error)) << error;
+  resp = must_recv(client, 60000);
+  EXPECT_EQ(resp.status, "budget");
+  EXPECT_NE(resp.error.find("expansions limit"), std::string::npos)
+      << resp.error;
 }
 
 TEST(ServeServer, StopDrainsQueuedRequestsWithTypedResponses) {

@@ -246,21 +246,16 @@ int cmd_sim(const std::string& target, const std::string& tests_path,
           "test file state width does not match the circuit");
   file.tests.validate(exp.table);
 
-  // The budget covers the two fault simulations (the dominant cost).
-  // A partial simulation would under-report coverage, so exhaustion here
-  // is a hard budget failure (exit 3), not a degraded success.
+  // The budget covers the gate-level evaluation: the one fault simulation
+  // and the redundancy classification (the dominant cost). A partial
+  // simulation would under-report coverage, so exhaustion is a hard budget
+  // failure (exit 3), not a degraded success.
   robust::RunGuard guard(budget, "fault_sim.batch");
-  const std::vector<FaultSpec> sa_faults = enumerate_stuck_at(exp.synth.circuit.comb);
-  FaultSimResult sa =
-      simulate_faults_guarded(exp.synth.circuit, file.tests, sa_faults, guard);
-  if (!sa.complete) throw BudgetError(guard.status().message());
-
-  CircuitExperiment shim = exp;
-  shim.gen.tests = file.tests;
   GateLevelOptions gate_options;
   gate_options.classify_redundancy = true;
   gate_options.static_prune = static_prune;
-  GateLevelResult gate = run_gate_level(shim, gate_options);
+  gate_options.guard = &guard;
+  const GateLevelResult gate = run_gate_level(exp, file.tests, gate_options);
   if (gate.static_pruned)
     std::printf(
         "static   : %zu stuck-at + %zu bridging faults pruned "
