@@ -1,6 +1,6 @@
 #include "analysis/implication.h"
 
-#include <algorithm>
+#include <numeric>
 
 namespace fstg::analysis {
 
@@ -21,17 +21,12 @@ ImplicationEngine::ImplicationEngine(const Netlist& nl, const Options& options)
   // forward evaluation; deduce() also fires the backward rules, which is
   // harmless here — everything derived is an unconditional fact).
   {
-    std::vector<signed char> val(base_);
-    std::vector<int> trail;
-    std::vector<int> queue;
-    queue.reserve(static_cast<std::size_t>(n));
-    for (int g = 0; g < n; ++g) queue.push_back(g);
-    bool ok = true;
-    for (std::size_t head = 0; head < queue.size() && ok; ++head)
-      ok = deduce(queue[head], val, trail, queue);
+    Scratch s;
+    s.val = base_;
     // A conflict here would mean the netlist has no consistent evaluation,
     // which a combinational circuit cannot; keep whatever was derived.
-    base_ = std::move(val);
+    close_all(s);
+    base_ = std::move(s.val);
   }
 
   const bool learn = options.learn_max_gates == 0 || n <= options.learn_max_gates;
@@ -41,28 +36,24 @@ ImplicationEngine::ImplicationEngine(const Netlist& nl, const Options& options)
     if (base_[static_cast<std::size_t>(g)] != kUnknown) ++num_constants_;
 }
 
-bool ImplicationEngine::assign(int g, bool v, std::vector<signed char>& val,
-                               std::vector<int>& trail,
-                               std::vector<int>& queue) {
-  signed char& slot = val[static_cast<std::size_t>(g)];
+bool ImplicationEngine::assign(int g, bool v, Scratch& s) const {
+  signed char& slot = s.val[static_cast<std::size_t>(g)];
   const signed char want = v ? 1 : 0;
   if (slot == want) return true;
   if (slot != kUnknown) return false;  // conflict
   slot = want;
-  trail.push_back(g);
-  queue.push_back(g);
-  for (int f : fanouts_[static_cast<std::size_t>(g)]) queue.push_back(f);
+  s.trail.push_back(g);
+  enqueue(g, s);
+  for (int f : fanouts_[static_cast<std::size_t>(g)]) enqueue(f, s);
   // Learned (indirect) implications attached to this literal.
   for (int t : learned_[static_cast<std::size_t>(lit(g, v))]) {
-    if (!assign(t >> 1, (t & 1) != 0, val, trail, queue))
-      return false;
+    if (!assign(t >> 1, (t & 1) != 0, s)) return false;
   }
   return true;
 }
 
-bool ImplicationEngine::deduce(int g, std::vector<signed char>& val,
-                               std::vector<int>& trail,
-                               std::vector<int>& queue) {
+bool ImplicationEngine::deduce(int g, Scratch& s) const {
+  const std::vector<signed char>& val = s.val;
   const Gate& gate = nl_->gate(g);
   const signed char out = val[static_cast<std::size_t>(g)];
   auto fanin_val = [&](std::size_t i) {
@@ -73,20 +64,18 @@ bool ImplicationEngine::deduce(int g, std::vector<signed char>& val,
     case GateType::kInput:
       return true;
     case GateType::kConst0:
-      return assign(g, false, val, trail, queue);
+      return assign(g, false, s);
     case GateType::kConst1:
-      return assign(g, true, val, trail, queue);
+      return assign(g, true, s);
     case GateType::kBuf:
     case GateType::kNot: {
       if (gate.fanins.empty()) return true;
       const bool invert = gate.type == GateType::kNot;
       const signed char in = fanin_val(0);
-      if (in != kUnknown &&
-          !assign(g, invert ? in == 0 : in != 0, val, trail, queue))
+      if (in != kUnknown && !assign(g, invert ? in == 0 : in != 0, s))
         return false;
       if (out != kUnknown &&
-          !assign(gate.fanins[0], invert ? out == 0 : out != 0, val, trail,
-                  queue))
+          !assign(gate.fanins[0], invert ? out == 0 : out != 0, s))
         return false;
       return true;
     }
@@ -118,11 +107,9 @@ bool ImplicationEngine::deduce(int g, std::vector<signed char>& val,
     const int ctrl_count = or_like ? ones : zeros;
     // Forward: a controlling fanin, or all fanins non-controlling.
     if (ctrl_count > 0) {
-      if (!assign(g, ctrl != inverted, val, trail, queue))
-        return false;
+      if (!assign(g, ctrl != inverted, s)) return false;
     } else if (unknowns == 0) {
-      if (!assign(g, !ctrl != inverted, val, trail, queue))
-        return false;
+      if (!assign(g, !ctrl != inverted, s)) return false;
     }
     const signed char now = val[static_cast<std::size_t>(g)];
     if (now == kUnknown) return true;
@@ -132,11 +119,9 @@ bool ImplicationEngine::deduce(int g, std::vector<signed char>& val,
     // controlling value.
     if (gv == (!ctrl != inverted)) {
       for (std::size_t i = 0; i < n; ++i)
-        if (!assign(gate.fanins[i], !ctrl, val, trail, queue))
-          return false;
+        if (!assign(gate.fanins[i], !ctrl, s)) return false;
     } else if (ctrl_count == 0 && unknowns == 1) {
-      if (!assign(last_unknown, ctrl, val, trail, queue))
-        return false;
+      if (!assign(last_unknown, ctrl, s)) return false;
     }
     return true;
   }
@@ -144,42 +129,49 @@ bool ImplicationEngine::deduce(int g, std::vector<signed char>& val,
   if (gate.type == GateType::kXor || gate.type == GateType::kXnor) {
     if (unknowns == 0) {
       const bool gv = (parity != 0) != inverted;
-      if (!assign(g, gv, val, trail, queue)) return false;
+      if (!assign(g, gv, s)) return false;
     } else if (unknowns == 1 && out != kUnknown) {
       const bool want = ((out != 0) != inverted) != (parity != 0);
-      if (!assign(last_unknown, want, val, trail, queue))
-        return false;
+      if (!assign(last_unknown, want, s)) return false;
     }
     return true;
   }
   return true;
 }
 
-bool ImplicationEngine::propagate(const int* seed_gates,
-                                  const bool* seed_values, std::size_t count,
-                                  std::vector<signed char>& val,
-                                  std::vector<int>& trail) {
-  val.assign(base_.begin(), base_.end());
-  trail.clear();
-  std::vector<int> queue;
-  for (std::size_t i = 0; i < count; ++i)
-    if (!assign(seed_gates[i], seed_values[i], val, trail, queue))
-      return false;
-  for (std::size_t head = 0; head < queue.size(); ++head)
-    if (!deduce(queue[head], val, trail, queue)) return false;
+bool ImplicationEngine::drain(Scratch& s) const {
+  for (std::size_t head = 0; head < s.queue.size(); ++head) {
+    const int g = s.queue[head];
+    s.queued[static_cast<std::size_t>(g)] = 0;
+    if (!deduce(g, s)) return false;
+  }
+  s.queue.clear();
   return true;
 }
 
-bool ImplicationEngine::propagate(int gate, bool value,
-                                  std::vector<signed char>& val,
-                                  std::vector<int>& trail) {
-  return propagate(&gate, &value, 1, val, trail);
+bool ImplicationEngine::close_all(Scratch& s) const {
+  const int n = nl_->num_gates();
+  s.queue.resize(static_cast<std::size_t>(n));
+  std::iota(s.queue.begin(), s.queue.end(), 0);
+  s.queued.assign(static_cast<std::size_t>(n), 1);
+  return drain(s);
+}
+
+bool ImplicationEngine::propagate(const int* seed_gates,
+                                  const bool* seed_values, std::size_t count,
+                                  Scratch& s) const {
+  s.val.assign(base_.begin(), base_.end());
+  s.trail.clear();
+  s.queue.clear();
+  s.queued.assign(base_.size(), 0);
+  for (std::size_t i = 0; i < count; ++i)
+    if (!assign(seed_gates[i], seed_values[i], s)) return false;
+  return drain(s);
 }
 
 void ImplicationEngine::run_learning() {
   const int n = nl_->num_gates();
-  std::vector<signed char> val;
-  std::vector<int> trail;
+  Scratch s;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -192,28 +184,22 @@ void ImplicationEngine::run_learning() {
       for (int v = 0; v < 2 && base_[static_cast<std::size_t>(g)] == kUnknown;
            ++v) {
         const bool bv = v == 1;
-        if (!propagate(g, bv, val, trail)) {
+        if (!propagate(&g, &bv, 1, s)) {
           // The assumption is impossible: the gate is constant at ¬v.
           // Fold it in and re-close the base (new constants cascade).
           base_[static_cast<std::size_t>(g)] =
               static_cast<signed char>(1 - v);
-          std::vector<signed char> closed(base_);
-          std::vector<int> ctrail;
-          std::vector<int> queue;
-          for (int x = 0; x < n; ++x) queue.push_back(x);
-          bool ok = true;
-          for (std::size_t head = 0; head < queue.size() && ok; ++head)
-            ok = deduce(queue[head], closed, ctrail, queue);
-          if (ok) base_ = std::move(closed);
+          s.val = base_;
+          if (close_all(s)) base_ = s.val;
           changed = true;
           continue;
         }
         // Record contrapositives of everything derived: (m = w) under the
         // assumption (g = v) yields the indirect edge (m = ¬w) → (g = ¬v).
         const int target = lit(g, !bv);
-        for (int m : trail) {
+        for (int m : s.trail) {
           if (m == g) continue;
-          const bool w = val[static_cast<std::size_t>(m)] != 0;
+          const bool w = s.val[static_cast<std::size_t>(m)] != 0;
           learned_[static_cast<std::size_t>(lit(m, !w))].push_back(target);
           ++learned_edges_;
         }
@@ -223,38 +209,43 @@ void ImplicationEngine::run_learning() {
   learning_ran_ = true;
 }
 
-Implications ImplicationEngine::implications(int gate, bool value) const {
+Implications ImplicationEngine::result_of(bool ok, Scratch& s) {
   Implications result;
-  std::vector<signed char> val;
-  std::vector<int> trail;
-  // propagate() only mutates scratch state; learned_/base_ are read-only
-  // after construction, so the cast is safe (and keeps queries const for
-  // read-only sharing across threads).
-  ImplicationEngine* self = const_cast<ImplicationEngine*>(this);
-  if (!self->propagate(gate, value, val, trail)) {
+  if (!ok) {
     result.conflict = true;
     return result;
   }
-  result.value = std::move(val);
-  result.assigned = std::move(trail);
+  result.value = std::move(s.val);
+  result.assigned = std::move(s.trail);
   return result;
+}
+
+Implications ImplicationEngine::implications(int gate, bool value) const {
+  Scratch s;
+  const bool ok = propagate(&gate, &value, 1, s);
+  return result_of(ok, s);
 }
 
 Implications ImplicationEngine::implications(int g1, bool v1, int g2,
                                              bool v2) const {
-  Implications result;
-  std::vector<signed char> val;
-  std::vector<int> trail;
   const int gates[2] = {g1, g2};
   const bool values[2] = {v1, v2};
-  ImplicationEngine* self = const_cast<ImplicationEngine*>(this);
-  if (!self->propagate(gates, values, 2, val, trail)) {
-    result.conflict = true;
-    return result;
-  }
-  result.value = std::move(val);
-  result.assigned = std::move(trail);
-  return result;
+  Scratch s;
+  const bool ok = propagate(gates, values, 2, s);
+  return result_of(ok, s);
+}
+
+Implications ImplicationEngine::extend(const Implications& from, int gate,
+                                       bool value) const {
+  if (from.conflict) return from;
+  // `from` is a fixpoint, so only what the new literal changes needs
+  // deducing: assign() queues exactly those gates.
+  Scratch s;
+  s.val = from.value;
+  s.trail = from.assigned;
+  s.queued.assign(s.val.size(), 0);
+  const bool ok = assign(gate, value, s) && drain(s);
+  return result_of(ok, s);
 }
 
 bool ImplicationEngine::implies(int gate, bool value, int other,

@@ -80,27 +80,54 @@ class ImplicationEngine {
   /// e.g. a bridge direction whose excitation condition is impossible.
   Implications implications(int g1, bool v1, int g2, bool v2) const;
 
+  /// The closure `from` (a result of this engine's queries) extended by
+  /// the literal (gate = value). Every rule is monotone, so the closure of
+  /// a literal set is its unique least fixpoint: extending closure(A) by
+  /// `b` yields exactly closure(A + b), and conflicts exactly when it
+  /// does, while re-deducing only what `b` newly implies. A conflicting
+  /// `from` stays conflicting.
+  Implications extend(const Implications& from, int gate, bool value) const;
+
   /// Does (gate = value) statically imply (other = other_value)?
   bool implies(int gate, bool value, int other, bool other_value) const;
 
  private:
+  /// Per-propagation working state. `queue` holds the gates still to be
+  /// deduced, FIFO from index 0; `queued[g]` marks g as already waiting, so
+  /// a gate whose fanins change several times is deduced once, after the
+  /// last change that precedes its turn.
+  struct Scratch {
+    std::vector<signed char> val;
+    std::vector<int> trail;
+    std::vector<int> queue;
+    std::vector<char> queued;
+  };
+
   int lit(int gate, bool value) const { return 2 * gate + (value ? 1 : 0); }
 
   /// Assume `count` seed literals on top of `base_` and propagate to
-  /// fixpoint. Fills `val` (caller-sized scratch) and `trail` with the
-  /// non-base assignments in derivation order; returns false on conflict.
+  /// fixpoint. Fills `s.val` and `s.trail` (the non-base assignments, in
+  /// derivation order); returns false on conflict.
   bool propagate(const int* seed_gates, const bool* seed_values,
-                 std::size_t count, std::vector<signed char>& val,
-                 std::vector<int>& trail);
-  bool propagate(int gate, bool value, std::vector<signed char>& val,
-                 std::vector<int>& trail);
+                 std::size_t count, Scratch& s) const;
+  /// Deduce every gate of `s.val` to fixpoint (constant folding after the
+  /// global constants change). Returns false on conflict.
+  bool close_all(Scratch& s) const;
+  /// Deduce queued gates until the queue is empty; false on conflict.
+  bool drain(Scratch& s) const;
 
-  /// One forward/backward consistency step for gate `g` over `val`;
+  /// One forward/backward consistency step for gate `g` over `s.val`;
   /// appends new assignments via assign(). Returns false on conflict.
-  bool deduce(int g, std::vector<signed char>& val, std::vector<int>& trail,
-              std::vector<int>& queue);
-  bool assign(int g, bool v, std::vector<signed char>& val,
-              std::vector<int>& trail, std::vector<int>& queue);
+  bool deduce(int g, Scratch& s) const;
+  bool assign(int g, bool v, Scratch& s) const;
+  void enqueue(int g, Scratch& s) const {
+    char& pending = s.queued[static_cast<std::size_t>(g)];
+    if (pending) return;
+    pending = 1;
+    s.queue.push_back(g);
+  }
+  /// Package a finished propagation as a query result.
+  static Implications result_of(bool ok, Scratch& s);
 
   void run_learning();
 

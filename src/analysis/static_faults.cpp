@@ -1,8 +1,10 @@
 #include "analysis/static_faults.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "base/obs/metrics.h"
+#include "base/robust/budget.h"
 #include "netlist/cones.h"
 #include "netlist/reach.h"
 
@@ -34,7 +36,67 @@ int controlling_value(GateType type) {
   }
 }
 
+const obs::Counter& propagations_counter() {
+  static const obs::Counter c = obs::counter("analysis.propagations");
+  return c;
+}
+
 }  // namespace
+
+/// Closure cache for one classify() or analyze() call. analyze() visits
+/// the faults grouped by line (a gate's stem faults with the pin faults it
+/// drives, a run of bridges sharing their first line g1 with each AND/OR
+/// pair adjacent), so holding the last line's two single-literal closures
+/// and the last pair's two joint closures computes each closure once per
+/// group. Joint closures extend the single-literal closure of g1 by g2's
+/// literal (ImplicationEngine::extend), which gives the same fixpoint as
+/// closing both literals afresh.
+class StaticAnalyzer::Closures {
+ public:
+  explicit Closures(const ImplicationEngine& engine) : engine_(&engine) {}
+
+  /// closure(line = value).
+  const Implications& single(int line, bool value) {
+    if (line != line_) {
+      line_ = line;
+      single_ok_[0] = single_ok_[1] = false;
+    }
+    if (!single_ok_[value]) {
+      single_[value] = engine_->implications(line, value);
+      single_ok_[value] = true;
+      ++propagations;
+    }
+    return single_[value];
+  }
+
+  /// closure(g1 = v, g2 = ¬v): the excitation condition of one bridge
+  /// direction. The pair's wired-AND and wired-OR faults need the same two.
+  const Implications& joint(int g1, bool v, int g2) {
+    if (g1 != pair_[0] || g2 != pair_[1]) {
+      pair_[0] = g1;
+      pair_[1] = g2;
+      joint_ok_[0] = joint_ok_[1] = false;
+    }
+    if (!joint_ok_[v]) {
+      joint_[v] = engine_->extend(single(g1, v), g2, !v);
+      joint_ok_[v] = true;
+      ++propagations;
+    }
+    return joint_[v];
+  }
+
+  /// Closures computed so far (the analysis.propagations counter).
+  std::uint64_t propagations = 0;
+
+ private:
+  const ImplicationEngine* engine_;
+  int line_ = -1;
+  bool single_ok_[2] = {false, false};
+  Implications single_[2];
+  int pair_[2] = {-1, -1};
+  bool joint_ok_[2] = {false, false};
+  Implications joint_[2];
+};
 
 StaticAnalyzer::StaticAnalyzer(const Netlist& nl,
                                const AnalyzerOptions& options,
@@ -76,20 +138,21 @@ bool StaticAnalyzer::propagation_blocked(int from,
   return false;
 }
 
-FaultVerdict StaticAnalyzer::classify_stem(int gate, bool value) const {
+FaultVerdict StaticAnalyzer::classify_stem(int gate, bool value,
+                                           Closures& closures) const {
   const signed char cv = engine_.constant(gate);
   if (cv == (value ? 1 : 0)) return FaultVerdict::kUnexcitable;
   if (!observable(gate)) return FaultVerdict::kUnpropagatable;
   // Excitation needs the fault-free line at ¬v; everything that closure
   // implies holds in every exciting test.
-  const Implications imp = engine_.implications(gate, !value);
+  const Implications& imp = closures.single(gate, !value);
   if (imp.conflict) return FaultVerdict::kUnexcitable;
   if (propagation_blocked(gate, imp)) return FaultVerdict::kUnpropagatable;
   return FaultVerdict::kUnknown;
 }
 
-FaultVerdict StaticAnalyzer::classify_pin(int gate, int pin,
-                                          bool value) const {
+FaultVerdict StaticAnalyzer::classify_pin(int gate, int pin, bool value,
+                                          Closures& closures) const {
   const Gate& g = nl_->gate(gate);
   if (pin < 0 || static_cast<std::size_t>(pin) >= g.fanins.size())
     return FaultVerdict::kUnknown;
@@ -97,7 +160,7 @@ FaultVerdict StaticAnalyzer::classify_pin(int gate, int pin,
   const signed char cv = engine_.constant(driver);
   if (cv == (value ? 1 : 0)) return FaultVerdict::kUnexcitable;
   if (!observable(gate)) return FaultVerdict::kUnpropagatable;
-  const Implications imp = engine_.implications(driver, !value);
+  const Implications& imp = closures.single(driver, !value);
   if (imp.conflict) return FaultVerdict::kUnexcitable;
   // A branch fault corrupts exactly one pin of `gate`; every other line in
   // the circuit (including the driver's other branches) stays fault-free.
@@ -117,15 +180,20 @@ FaultVerdict StaticAnalyzer::classify_pin(int gate, int pin,
   return FaultVerdict::kUnknown;
 }
 
-FaultVerdict StaticAnalyzer::classify_bridge(int g1, int g2,
-                                             bool or_type) const {
+FaultVerdict StaticAnalyzer::classify_bridge(int g1, int g2, bool or_type,
+                                             Closures& closures) const {
   // The wired function only changes a line where the two lines differ. If
-  // they are statically always equal, the bridge is a no-op.
+  // they are statically always equal, the bridge is a no-op: g1 = 0
+  // implies g2 = 0 and g1 = 1 implies g2 = 1 (a conflicting closure
+  // implies anything).
   const signed char c1 = engine_.constant(g1);
   const signed char c2 = engine_.constant(g2);
   if (c1 != -1 && c1 == c2) return FaultVerdict::kUnexcitable;
-  if (engine_.implies(g1, false, g2, false) &&
-      engine_.implies(g1, true, g2, true))
+  const auto implies_same = [&](bool v) {
+    const Implications& imp = closures.single(g1, v);
+    return imp.conflict || imp.value_of(g2) == (v ? 1 : 0);
+  };
+  if (implies_same(false) && implies_same(true))
     return FaultVerdict::kUnexcitable;
   if (!observable(g1) && !observable(g2))
     return FaultVerdict::kUnpropagatable;
@@ -134,19 +202,21 @@ FaultVerdict StaticAnalyzer::classify_bridge(int g1, int g2,
   // wired-OR, a flips 0→1 only when (a=0, b=1) — the other line keeps its
   // fault-free value, so the error is confined to the flipped line's
   // fanout cone and the stem-fault dominator reasoning applies under the
-  // *joint* closure of both excitation literals.
+  // *joint* closure of both excitation literals. Direction 1 flips g1
+  // under closure(g1 = lv, g2 = ¬lv); direction 2 flips g2 under
+  // closure(g2 = lv, g1 = ¬lv), the pair's other joint closure.
   const bool lv = !or_type;  // flipped line's fault-free value
   bool excitable1 = false, excitable2 = false;
   bool blocked1 = true, blocked2 = true;
   {
-    const Implications imp = engine_.implications(g1, lv, g2, !lv);
+    const Implications& imp = closures.joint(g1, lv, g2);
     if (!imp.conflict) {
       excitable1 = true;
       blocked1 = !observable(g1) || propagation_blocked(g1, imp);
     }
   }
   {
-    const Implications imp = engine_.implications(g2, lv, g1, !lv);
+    const Implications& imp = closures.joint(g1, !lv, g2);
     if (!imp.conflict) {
       excitable2 = true;
       blocked2 = !observable(g2) || propagation_blocked(g2, imp);
@@ -157,7 +227,8 @@ FaultVerdict StaticAnalyzer::classify_bridge(int g1, int g2,
   return FaultVerdict::kUnknown;
 }
 
-FaultVerdict StaticAnalyzer::classify(const FaultSpec& fault) const {
+FaultVerdict StaticAnalyzer::verdict(const FaultSpec& fault,
+                                     Closures& closures) const {
   const int n = nl_->num_gates();
   auto in_range = [n](int g) { return g >= 0 && g < n; };
   switch (fault.kind) {
@@ -165,16 +236,25 @@ FaultVerdict StaticAnalyzer::classify(const FaultSpec& fault) const {
       return FaultVerdict::kUnknown;
     case FaultSpec::Kind::kStuckGate:
       if (!in_range(fault.gate)) return FaultVerdict::kUnknown;
-      return classify_stem(fault.gate, fault.value);
+      return classify_stem(fault.gate, fault.value, closures);
     case FaultSpec::Kind::kStuckPin:
       if (!in_range(fault.gate)) return FaultVerdict::kUnknown;
-      return classify_pin(fault.gate, fault.gate2_or_pin, fault.value);
+      return classify_pin(fault.gate, fault.gate2_or_pin, fault.value,
+                          closures);
     case FaultSpec::Kind::kBridge:
       if (!in_range(fault.gate) || !in_range(fault.gate2_or_pin))
         return FaultVerdict::kUnknown;
-      return classify_bridge(fault.gate, fault.gate2_or_pin, fault.value);
+      return classify_bridge(fault.gate, fault.gate2_or_pin, fault.value,
+                             closures);
   }
   return FaultVerdict::kUnknown;
+}
+
+FaultVerdict StaticAnalyzer::classify(const FaultSpec& fault) const {
+  Closures closures(engine_);
+  const FaultVerdict v = verdict(fault, closures);
+  propagations_counter().add(closures.propagations);
+  return v;
 }
 
 namespace {
@@ -202,26 +282,55 @@ struct LitUnion {
 
 }  // namespace
 
-FaultAnalysis StaticAnalyzer::analyze(
-    const std::vector<FaultSpec>& faults) const {
+FaultAnalysis StaticAnalyzer::analyze(const std::vector<FaultSpec>& faults,
+                                      robust::RunGuard* guard) const {
   FaultAnalysis result;
   result.verdict.assign(faults.size(), FaultVerdict::kUnknown);
   result.equiv_rep.resize(faults.size());
   std::iota(result.equiv_rep.begin(), result.equiv_rep.end(),
             std::size_t{0});
 
+  // Visit the faults grouped by the line whose single-literal closures
+  // they need (a stem's gate, a pin's driver, a bridge's first line), so
+  // each line's closures are computed once. The sort is stable: a run of
+  // bridges keeps its order, and each AND/OR pair stays adjacent.
+  const int n = nl_->num_gates();
+  std::vector<int> line(faults.size(), -1);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    const FaultVerdict v = classify(faults[i]);
+    const FaultSpec& f = faults[i];
+    if (f.gate < 0 || f.gate >= n) continue;
+    line[i] = f.gate;
+    if (f.kind != FaultSpec::Kind::kStuckPin) continue;
+    const std::vector<int>& fanins = nl_->gate(f.gate).fanins;
+    const bool pin_ok = f.gate2_or_pin >= 0 &&
+        static_cast<std::size_t>(f.gate2_or_pin) < fanins.size();
+    line[i] = pin_ok ? fanins[static_cast<std::size_t>(f.gate2_or_pin)] : -1;
+  }
+  std::vector<std::size_t> order(faults.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return line[a] < line[b];
+                   });
+
+  Closures closures(engine_);
+  for (std::size_t i : order) {
+    if (guard != nullptr && !guard->tick()) {
+      result.complete = false;
+      break;
+    }
+    const FaultVerdict v = verdict(faults[i], closures);
     result.verdict[i] = v;
     if (v == FaultVerdict::kUnexcitable) ++result.unexcitable;
     if (v == FaultVerdict::kUnpropagatable) ++result.unpropagatable;
   }
+  propagations_counter().add(closures.propagations);
+  if (!result.complete) return result;
 
   // Equivalence classes over stem literals: single-fanout chain rules
   // merge a driver-line fault with the matching fault on its one fanout
   // gate, transitively across whole fanout-free chains — strictly more
   // than the gate-local pin collapsing in enumerate_stuck_at.
-  const int n = nl_->num_gates();
   LitUnion uf(2 * n);
   {
     std::vector<int> fanout_count(static_cast<std::size_t>(n), 0);
@@ -332,6 +441,7 @@ void register_analysis_counters() {
       "analysis.unexcitable",    "analysis.unpropagatable",
       "analysis.equiv_merged",   "analysis.pruned",
       "analysis.static_consults", "analysis.static_undetectable",
+      "analysis.propagations",
   };
   for (const char* name : kNames) obs::counter(name);
 }

@@ -7,6 +7,10 @@
 #include "base/bitvec.h"
 #include "sim/logic_sim.h"
 
+namespace fstg::robust {
+class RunGuard;
+}  // namespace fstg::robust
+
 namespace fstg::analysis {
 
 /// Fault-independent static verdict for one fault. Both untestable
@@ -40,6 +44,9 @@ struct FaultAnalysis {
   std::size_t unpropagatable = 0;
   std::size_t equiv_classes = 0;  ///< distinct classes over the list
   std::size_t equiv_merged = 0;   ///< faults with equiv_rep != self
+  /// False when the guard passed to analyze() tripped first: the faults
+  /// not yet reached keep kUnknown and no equivalence classes are formed.
+  bool complete = true;
 
   std::size_t untestable() const { return unexcitable + unpropagatable; }
 };
@@ -47,7 +54,9 @@ struct FaultAnalysis {
 /// Reusable static fault analyzer for one netlist: implication engine +
 /// output-dominator chain + (optional, borrowed) forward reachability.
 /// Immutable after construction; safe to share read-only across threads.
-/// `classify`/`analyze` never throw.
+/// `classify`/`analyze` never throw, and give every fault the same verdict:
+/// both run one verdict function, analyze() with closures shared across
+/// the list.
 class StaticAnalyzer {
  public:
   /// `reach` may borrow a precomputed forward_reachability(nl) matrix
@@ -63,7 +72,13 @@ class StaticAnalyzer {
   bool observable(int gate) const;
 
   FaultVerdict classify(const FaultSpec& fault) const;
-  FaultAnalysis analyze(const std::vector<FaultSpec>& faults) const;
+  /// Verdicts and equivalence classes for a whole list. Faults that need
+  /// one line's closures (a gate's stem faults and the pin faults it
+  /// drives, the bridges sharing a first line, a bridge's AND/OR pair) are
+  /// visited together and share them. `guard`, if given, is ticked once
+  /// per fault; when it trips, `complete` is false.
+  FaultAnalysis analyze(const std::vector<FaultSpec>& faults,
+                        robust::RunGuard* guard = nullptr) const;
 
  private:
   bool reaches(int from, int to) const {
@@ -74,9 +89,15 @@ class StaticAnalyzer {
   /// `imp` (fault-free implications of the excitation condition) holds a
   /// controlling value on a side input outside the fault cone of `from`.
   bool propagation_blocked(int from, const Implications& imp) const;
-  FaultVerdict classify_stem(int gate, bool value) const;
-  FaultVerdict classify_pin(int gate, int pin, bool value) const;
-  FaultVerdict classify_bridge(int g1, int g2, bool or_type) const;
+
+  /// Closures of the line(s) the current fault is on, kept for the next.
+  class Closures;
+  FaultVerdict verdict(const FaultSpec& fault, Closures& closures) const;
+  FaultVerdict classify_stem(int gate, bool value, Closures& closures) const;
+  FaultVerdict classify_pin(int gate, int pin, bool value,
+                            Closures& closures) const;
+  FaultVerdict classify_bridge(int g1, int g2, bool or_type,
+                               Closures& closures) const;
 
   const Netlist* nl_;
   ImplicationEngine engine_;

@@ -254,11 +254,21 @@ void check_compaction(const Workload& w, Reporter& report) {
 ///  - equivalence: faults sharing an equiv_rep must have identical
 ///    exhaustive detectability AND identical first-detecting tests under
 ///    the workload's own test set (equivalent faults induce the same
-///    faulty function, so any difference in detected_by is a bad merge).
+///    faulty function, so any difference in detected_by is a bad merge);
+///  - batching: analyze()'s verdicts, built from closures shared across
+///    the list, must equal classify() of each fault on its own.
 void check_static_redundancy(const Workload& w, const EngineRun& base,
                              Reporter& report) {
   const analysis::StaticAnalyzer analyzer(w.circuit.comb);
   const analysis::FaultAnalysis sa = analyzer.analyze(w.faults);
+  for (std::size_t f = 0; f < w.faults.size(); ++f) {
+    const analysis::FaultVerdict single = analyzer.classify(w.faults[f]);
+    if (sa.verdict[f] != single)
+      report.add("static_batch_mismatch",
+                 "fault " + std::to_string(f) + " batched " +
+                     analysis::fault_verdict_name(sa.verdict[f]) +
+                     " but alone " + analysis::fault_verdict_name(single));
+  }
 
   RedundancyResult exhaustive;
   try {

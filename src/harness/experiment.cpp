@@ -190,10 +190,17 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
     reach = forward_reachability(circuit.comb);
     harness::save_reach(cache, rkey, reach);
   }
+  std::optional<robust::RunGuard> own_guard;
+  robust::RunGuard& guard =
+      options.guard ? *options.guard
+                    : own_guard.emplace(robust::Budget{}, "fault_sim.batch");
+
   // Optional static pre-flight: prove faults untestable without a single
   // simulated pattern and drop them from the simulated universe. The
   // analyzer is kept alive so the redundancy classifier below can consult
-  // the same verdicts for the remaining misses.
+  // the same verdicts for the remaining misses. It runs under the same
+  // budget as the simulation: a partial analysis proves nothing about the
+  // faults it did not reach.
   std::unique_ptr<analysis::StaticAnalyzer> statics;
   if (options.static_prune) {
     obs::StageScope scope("analysis.static_prune", exp.fsm.name);
@@ -201,9 +208,11 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
     statics = std::make_unique<analysis::StaticAnalyzer>(
         circuit.comb, analysis::AnalyzerOptions{}, &reach);
     const analysis::FaultAnalysis sa_static =
-        statics->analyze(result.sa_faults);
+        statics->analyze(result.sa_faults, &guard);
     const analysis::FaultAnalysis br_static =
-        statics->analyze(result.br_faults);
+        statics->analyze(result.br_faults, &guard);
+    if (!sa_static.complete || !br_static.complete)
+      throw BudgetError(guard.status().message());
     result.static_pruned = true;
     result.static_unexcitable =
         sa_static.unexcitable + br_static.unexcitable;
@@ -234,10 +243,6 @@ GateLevelResult run_gate_level(const CircuitExperiment& exp,
   sim_options.threads = options.threads;
   sim_options.reachability = &reach;
 
-  std::optional<robust::RunGuard> own_guard;
-  robust::RunGuard& guard =
-      options.guard ? *options.guard
-                    : own_guard.emplace(robust::Budget{}, "fault_sim.batch");
   {
     // One fault simulation for both lists: they share the longest-first
     // test order, so every batch's good-machine trace and excitation index

@@ -90,11 +90,12 @@ struct GateLevelOptions {
   /// the redundancy classifier, so statically-resolved misses skip the
   /// exhaustive scan.
   bool static_prune = false;
-  /// Budget for the whole evaluation: the one fault simulation of both
-  /// lists and the redundancy classification tick it. A partial result
-  /// would under-report coverage, so exhaustion throws BudgetError. Null
-  /// means an unlimited guard at the "fault_sim.batch" site (which the
-  /// fault-injection harness can still trip).
+  /// Budget for the whole evaluation: the static pre-flight (one tick per
+  /// fault), the one fault simulation of both lists and the redundancy
+  /// classification tick it. A partial result would under-report
+  /// coverage, so exhaustion throws BudgetError. Null means an unlimited
+  /// guard at the "fault_sim.batch" site (which the fault-injection
+  /// harness can still trip).
   robust::RunGuard* guard = nullptr;
 };
 

@@ -1,6 +1,7 @@
 #include "lint/analysis_lint.h"
 
 #include <string>
+#include <vector>
 
 #include "analysis/static_faults.h"
 #include "fault/fault.h"
@@ -86,12 +87,13 @@ void lint_static_analysis(const ScanCircuit& circuit,
   }
 
   if (faults == nullptr) return;
+  // One batched analysis over the injectable entries, so entries on the
+  // same line share its closures; `lines[i]` is the source line of the
+  // i-th analyzed fault.
   const NetIndex index(nl);
+  std::vector<FaultSpec> specs;
+  std::vector<int> lines;
   for (const FaultEntry& entry : faults->entries) {
-    if (!guard.tick()) {
-      report.truncated = true;
-      return;
-    }
     const FaultSpec spec = resolve_entry(entry, nl, index);
     if (spec.kind == FaultSpec::Kind::kNone) continue;
     if (spec.kind == FaultSpec::Kind::kStuckGate) {
@@ -99,14 +101,22 @@ void lint_static_analysis(const ScanCircuit& circuit,
       // fault-on-const already covers literal constant lines.
       if (type == GateType::kConst0 || type == GateType::kConst1) continue;
     }
-    const analysis::FaultVerdict verdict = analyzer.classify(spec);
+    specs.push_back(spec);
+    lines.push_back(entry.line);
+  }
+  // A tripped guard leaves the faults the analysis did not reach kUnknown,
+  // so they get no finding.
+  const analysis::FaultAnalysis fa = analyzer.analyze(specs, &guard);
+  if (!fa.complete) report.truncated = true;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const analysis::FaultVerdict verdict = fa.verdict[i];
     if (verdict == analysis::FaultVerdict::kUnknown) continue;
     report.add("fault-static-redundant",
-               describe_fault(nl, spec) + " is statically " +
+               describe_fault(nl, specs[i]) + " is statically " +
                    analysis::fault_verdict_name(verdict) +
                    "; no test can detect it",
                "drop it from the list, or count it as proven redundant",
-               {report.source, entry.line});
+               {report.source, lines[i]});
   }
 }
 

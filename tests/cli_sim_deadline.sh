@@ -7,9 +7,13 @@
 # run both the setup and the work before the first deadline poll 20-30x
 # slower.
 #
-# Usage: cli_sim_deadline.sh FSTG WORKDIR CIRCUIT BUDGET_MS SLACK_MS
+# Arguments after SLACK_MS go to the budgeted `fstg sim` (--static-prune
+# puts the static pre-flight under the deadline too).
+#
+# Usage: cli_sim_deadline.sh FSTG WORKDIR CIRCUIT BUDGET_MS SLACK_MS [SIM_ARG...]
 set -u
 fstg=$1 dir=$2 circuit=$3 budget=$4 slack=$5
+shift 5
 mkdir -p "$dir" || exit 1
 now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
 
@@ -18,7 +22,7 @@ t0=$(now_ms)
 setup=$(( $(now_ms) - t0 ))
 
 t0=$(now_ms)
-"$fstg" sim "$circuit" "$dir/$circuit.tests" --time-budget-ms "$budget"
+"$fstg" sim "$circuit" "$dir/$circuit.tests" --time-budget-ms "$budget" "$@"
 rc=$?
 elapsed=$(( $(now_ms) - t0 ))
 slack=$(( slack + 3 * setup ))

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/implication.h"
@@ -15,8 +16,10 @@
 #include "fault/fault.h"
 #include "fault/redundancy.h"
 #include "harness/experiment.h"
+#include "kiss/benchmarks.h"
 #include "netlist/cones.h"
 #include "netlist/netlist.h"
+#include "netlist/synth.h"
 
 namespace fstg {
 namespace {
@@ -307,6 +310,70 @@ TEST(StaticAnalyzer, VerdictsSoundVersusExhaustiveEngine) {
     }
   }
   EXPECT_GT(proven_total, 0u);
+}
+
+/// analyze() shares closures across consecutive faults on one line and
+/// builds each bridge's joint closures by extending g1's closure; classify()
+/// computes every closure afresh. Both must give every fault the same
+/// verdict. The first 4096 bridging faults keep whole runs sharing a first
+/// line. Learned-edge and constant counts are pinned: the order in which
+/// the engine's queue deduces gates must not change what learning derives.
+TEST(StaticAnalyzer, BatchedVerdictsEqualSingleFaultVerdicts) {
+  struct Pinned {
+    const char* name;
+    std::size_t learned;
+    std::size_t constants;
+  };
+  for (const Pinned& pin : {Pinned{"bbsse", 29715, 1},
+                            Pinned{"keyb", 29448, 1},
+                            Pinned{"dvram", 197687, 1},
+                            Pinned{"rie", 156520, 2}}) {
+    const SynthesisResult synth =
+        synthesize_scan_circuit(load_benchmark(pin.name));
+    const Netlist& nl = synth.circuit.comb;
+    std::vector<FaultSpec> faults = enumerate_stuck_at(nl);
+    const std::vector<FaultSpec> bridges = enumerate_bridging(nl);
+    faults.insert(faults.end(), bridges.begin(),
+                  bridges.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min<std::size_t>(
+                                            bridges.size(), 4096)));
+
+    const StaticAnalyzer an(nl);
+    EXPECT_EQ(an.engine().num_learned(), pin.learned) << pin.name;
+    EXPECT_EQ(an.engine().num_constants(), pin.constants) << pin.name;
+    const analysis::FaultAnalysis fa = an.analyze(faults);
+    ASSERT_TRUE(fa.complete);
+    std::size_t mismatches = 0;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      const FaultVerdict single = an.classify(faults[f]);
+      if (fa.verdict[f] == single) continue;
+      if (++mismatches <= 5)
+        ADD_FAILURE() << pin.name << ": "
+                      << describe_fault(nl, faults[f]) << " batched "
+                      << analysis::fault_verdict_name(fa.verdict[f])
+                      << " but alone "
+                      << analysis::fault_verdict_name(single);
+    }
+    EXPECT_EQ(mismatches, 0u) << pin.name;
+  }
+}
+
+/// extend() of a single-literal closure is the two-literal closure.
+TEST(ImplicationEngine, ExtendEqualsJointClosure) {
+  const SynthesisResult synth = synthesize_scan_circuit(load_benchmark("mc"));
+  const Netlist& nl = synth.circuit.comb;
+  const ImplicationEngine eng(nl);
+  for (int g1 = 0; g1 < nl.num_gates(); ++g1) {
+    for (int v1 = 0; v1 < 2; ++v1) {
+      const Implications one = eng.implications(g1, v1 == 1);
+      for (int g2 = 0; g2 < nl.num_gates(); ++g2) {
+        const Implications joint = eng.implications(g1, v1 == 1, g2, v1 == 0);
+        const Implications ext = eng.extend(one, g2, v1 == 0);
+        ASSERT_EQ(ext.conflict, joint.conflict) << g1 << "," << g2;
+        ASSERT_EQ(ext.value, joint.value) << g1 << "," << g2;
+      }
+    }
+  }
 }
 
 TEST(StaticAnalyzer, VerdictNamesAreStable) {

@@ -11,6 +11,7 @@
 #include "atpg/coverage.h"
 #include "atpg/generator.h"
 #include "base/error.h"
+#include "base/obs/metrics.h"
 #include "base/robust/budget.h"
 #include "fault/bridging.h"
 #include "fault/fault.h"
@@ -318,6 +319,28 @@ TEST_F(RobustPipelineTest, RedundancyClassificationTicksTheGateLevelGuard) {
   EXPECT_THROW(run_gate_level(exp, options), BudgetError);
   EXPECT_EQ(guard.trip(), BudgetTrip::kExpansions);
   EXPECT_GT(guard.expansions(), sim_cost);
+}
+
+TEST_F(RobustPipelineTest, StaticPreFlightTicksTheGateLevelGuard) {
+  // The static pre-flight ticks the caller's guard once per fault. A
+  // budget the stuck-at list fits in exactly trips on the first bridging
+  // fault, inside the analysis, before a single fault is simulated.
+  CircuitExperiment exp = run_circuit("bbsse");
+  const std::size_t stuck_at =
+      enumerate_stuck_at(exp.synth.circuit.comb).size();
+  Budget budget;
+  budget.max_expansions = stuck_at;
+  RunGuard guard(budget, "fault_sim.batch");
+  GateLevelOptions options;
+  options.static_prune = true;
+  options.guard = &guard;
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  EXPECT_THROW(run_gate_level(exp, options), BudgetError);
+  const obs::MetricsSnapshot after = obs::snapshot_metrics();
+  EXPECT_EQ(guard.trip(), BudgetTrip::kExpansions);
+  EXPECT_EQ(guard.expansions(), stuck_at + 1);
+  EXPECT_EQ(after.counter_value("fault_sim.faults_simulated"),
+            before.counter_value("fault_sim.faults_simulated"));
 }
 
 // --- Site discovery (what the fuzz harness replays against) ---------------
