@@ -134,7 +134,7 @@ void register_lane_benches() {
 const bool lane_benches_registered = (register_lane_benches(), true);
 
 void BM_TautologyCheck(benchmark::State& state) {
-  // The OR of all function covers of cse, a mixed non-trivial cover.
+  // The OR of all function covers of dk16, a mixed non-trivial cover.
   const CircuitExperiment& exp = dk16_experiment();
   Cover all(exp.synth.covers.front().num_vars());
   for (const Cover& c : exp.synth.covers)
@@ -145,14 +145,18 @@ void BM_TautologyCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_TautologyCheck);
 
-void BM_Synthesis(benchmark::State& state) {
-  Kiss2Fsm fsm = load_benchmark("mark1");
+// Two-level synthesis of one built-in: mark1 (20 functions of 8
+// variables) and dvram (12 functions of 14 variables, the costliest
+// synthesis among the built-ins).
+void BM_Synthesis(benchmark::State& state, const char* circuit) {
+  Kiss2Fsm fsm = load_benchmark(circuit);
   for (auto _ : state) {
     SynthesisResult r = synthesize_scan_circuit(fsm);
     benchmark::DoNotOptimize(r.circuit.comb.num_gates());
   }
 }
-BENCHMARK(BM_Synthesis);
+BENCHMARK_CAPTURE(BM_Synthesis, mark1, "mark1");
+BENCHMARK_CAPTURE(BM_Synthesis, dvram, "dvram");
 
 }  // namespace
 

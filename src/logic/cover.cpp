@@ -41,11 +41,7 @@ std::size_t Cover::literal_count() const {
 Cover Cover::cofactor(const Cube& c) const {
   Cover out(num_vars_);
   for (const Cube& cube : cubes_) {
-    if (!cube.intersects(c)) continue;
-    Cube r = cube;
-    for (int v = 0; v < num_vars_; ++v)
-      if (c.get(v) != Lit::kDC) r.set(v, Lit::kDC);
-    out.add(r);
+    if (cube.intersects(c)) out.add(cube.cofactor(c));
   }
   return out;
 }

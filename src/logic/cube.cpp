@@ -64,6 +64,15 @@ Cube Cube::intersect(const Cube& o) const {
   return c;
 }
 
+Cube Cube::cofactor(const Cube& c) const {
+  // A position of c is fixed iff its two bits are not both set.
+  const std::uint64_t fixed =
+      low_bits_mask(num_vars_) & ~(c.bits_ & (c.bits_ >> 1));
+  Cube r = *this;
+  r.bits_ |= fixed | (fixed << 1);
+  return r;
+}
+
 Cube Cube::supercube(const Cube& o) const {
   Cube c;
   c.num_vars_ = num_vars_;

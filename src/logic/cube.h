@@ -48,6 +48,10 @@ class Cube {
   /// Intersection; only valid when intersects(o).
   Cube intersect(const Cube& o) const;
 
+  /// Cofactor with respect to `c`: every variable `c` fixes is raised to
+  /// don't-care. Only meaningful when intersects(c).
+  Cube cofactor(const Cube& c) const;
+
   /// Smallest cube containing both (bitwise or).
   Cube supercube(const Cube& o) const;
 

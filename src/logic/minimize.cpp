@@ -14,9 +14,15 @@ Cover union_covers(const Cover& a, const Cover& b) {
   return u;
 }
 
+bool intersects_any(const Cube& c, const Cover& cover) {
+  for (const Cube& o : cover.cubes())
+    if (c.intersects(o)) return true;
+  return false;
+}
+
 }  // namespace
 
-Cover expand_cover(const Cover& cover, const Cover& free_set, int rotation) {
+Cover expand_cover(const Cover& cover, const Cover& off_set, int rotation) {
   Cover out(cover.num_vars());
   for (const Cube& cube : cover.cubes()) {
     Cube c = cube;
@@ -25,7 +31,7 @@ Cover expand_cover(const Cover& cover, const Cover& free_set, int rotation) {
       if (c.get(v) == Lit::kDC) continue;
       Cube raised = c;
       raised.set(v, Lit::kDC);
-      if (cube_covered(raised, free_set)) c = raised;
+      if (!intersects_any(raised, off_set)) c = raised;
     }
     out.add(c);
   }
@@ -35,15 +41,20 @@ Cover expand_cover(const Cover& cover, const Cover& free_set, int rotation) {
 
 Cover irredundant_cover(const Cover& cover, const Cover& dc_set) {
   // Greedy: try dropping cubes one at a time, largest-last so big cubes
-  // (cheap in literals) are kept preferentially.
-  std::vector<Cube> cubes = cover.cubes();
+  // (cheap in literals) are kept preferentially. Cube i is redundant iff
+  // the cofactor of (kept cubes other than i) ∪ dc with respect to it is
+  // a tautology; that cofactor is built directly, cube by cube.
+  const std::vector<Cube>& cubes = cover.cubes();
   std::vector<bool> keep(cubes.size(), true);
+  Cover cof(cover.num_vars());
   for (std::size_t i = 0; i < cubes.size(); ++i) {
-    Cover rest(cover.num_vars());
+    cof.cubes().clear();
     for (std::size_t j = 0; j < cubes.size(); ++j)
-      if (j != i && keep[j]) rest.add(cubes[j]);
-    for (const Cube& d : dc_set.cubes()) rest.add(d);
-    if (cube_covered(cubes[i], rest)) keep[i] = false;
+      if (j != i && keep[j] && cubes[j].intersects(cubes[i]))
+        cof.add(cubes[j].cofactor(cubes[i]));
+    for (const Cube& d : dc_set.cubes())
+      if (d.intersects(cubes[i])) cof.add(d.cofactor(cubes[i]));
+    if (is_tautology(cof)) keep[i] = false;
   }
   Cover out(cover.num_vars());
   for (std::size_t i = 0; i < cubes.size(); ++i)
@@ -57,13 +68,13 @@ Cover minimize_cover(const Cover& on_set, const Cover& dc_set,
           "minimize_cover: variable count mismatch");
   if (on_set.empty()) return on_set;
 
-  Cover free_set = union_covers(on_set, dc_set);
+  const Cover off_set = complement_cover(union_covers(on_set, dc_set));
   Cover current = on_set;
   current.remove_single_cube_contained();
   std::size_t best_cost = static_cast<std::size_t>(-1);
   Cover best = current;
   for (int pass = 0; pass < options.passes; ++pass) {
-    current = expand_cover(current, free_set,
+    current = expand_cover(current, off_set,
                            pass * 7);  // rotate the raising order per pass
     current = irredundant_cover(current, dc_set);
     std::size_t cost = current.size() * 100 + current.literal_count();

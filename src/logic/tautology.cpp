@@ -63,9 +63,13 @@ bool cube_covered(const Cube& c, const Cover& cover) {
 namespace {
 
 // Complement restricted to the subspace `space` (a cube); returns cubes
-// inside `space` not covered by `cover`.
-void complement_rec(const Cover& cover, const Cube& space, Cover& out) {
-  Cover cof = cover.cofactor(space);
+// inside `space` not covered by `cover`. `parent_cof` is the cover's
+// cofactor with respect to a cube containing `space` (cofactoring it again
+// gives the cover's own cofactor with respect to `space`). A cofactor that
+// is a tautology splits into tautologies down to universal-cube leaves, so
+// it adds nothing without a separate tautology check.
+void complement_rec(const Cover& parent_cof, const Cube& space, Cover& out) {
+  const Cover cof = parent_cof.cofactor(space);
   // Leaf: nothing covers the space -> the whole space is in the complement.
   if (cof.empty()) {
     out.add(space);
@@ -74,11 +78,10 @@ void complement_rec(const Cover& cover, const Cube& space, Cover& out) {
   // Leaf: some cube covers the whole space -> nothing to add.
   for (const Cube& c : cof.cubes())
     if (c.literal_count() == 0) return;
-  if (is_tautology(cof)) return;
 
   // Split on the most binate variable of the cofactor.
   int best_var = -1, best_score = -1;
-  for (int v = 0; v < cover.num_vars(); ++v) {
+  for (int v = 0; v < cof.num_vars(); ++v) {
     if (space.get(v) != Lit::kDC) continue;
     int zeros = 0, ones = 0;
     for (const Cube& c : cof.cubes()) {
@@ -94,15 +97,15 @@ void complement_rec(const Cover& cover, const Cube& space, Cover& out) {
     }
   }
   if (best_var < 0) {
-    // Cofactor has no literals in free variables and is not a tautology:
-    // impossible unless empty, handled above.
+    // No literal in a free variable: every cofactor cube is universal,
+    // handled above.
     return;
   }
   Cube lo = space, hi = space;
   lo.set(best_var, Lit::kZero);
   hi.set(best_var, Lit::kOne);
-  complement_rec(cover, lo, out);
-  complement_rec(cover, hi, out);
+  complement_rec(cof, lo, out);
+  complement_rec(cof, hi, out);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "base/rng.h"
 #include "logic/tautology.h"
 
@@ -17,6 +20,60 @@ Cube random_cube(Rng& rng, int num_vars) {
       default: break;
     }
   }
+  return cube;
+}
+
+/// EXPAND as it was before the off-set: each raise is kept iff the raised
+/// cube is covered by on ∪ dc, checked by a tautology test on the cofactor.
+/// Kept only as the reference for the differential test below.
+Cover tautology_expand(const Cover& cover, const Cover& free_set,
+                       int rotation) {
+  Cover out(cover.num_vars());
+  for (const Cube& cube : cover.cubes()) {
+    Cube c = cube;
+    for (int k = 0; k < cover.num_vars(); ++k) {
+      int v = (k + rotation) % cover.num_vars();
+      if (c.get(v) == Lit::kDC) continue;
+      Cube raised = c;
+      raised.set(v, Lit::kDC);
+      if (cube_covered(raised, free_set)) c = raised;
+    }
+    out.add(c);
+  }
+  out.remove_single_cube_contained();
+  return out;
+}
+
+/// IRREDUNDANT as it was before the cofactor was built in place: one
+/// `rest` cover copied per cube. Reference for the same test.
+Cover copying_irredundant(const Cover& cover, const Cover& dc_set) {
+  std::vector<Cube> cubes = cover.cubes();
+  std::vector<bool> keep(cubes.size(), true);
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    Cover rest(cover.num_vars());
+    for (std::size_t j = 0; j < cubes.size(); ++j)
+      if (j != i && keep[j]) rest.add(cubes[j]);
+    for (const Cube& d : dc_set.cubes()) rest.add(d);
+    if (cube_covered(cubes[i], rest)) keep[i] = false;
+  }
+  Cover out(cover.num_vars());
+  for (std::size_t i = 0; i < cubes.size(); ++i)
+    if (keep[i]) out.add(cubes[i]);
+  return out;
+}
+
+std::vector<std::string> cube_strings(const Cover& cover) {
+  std::vector<std::string> out;
+  for (const Cube& c : cover.cubes()) out.push_back(c.to_string());
+  return out;
+}
+
+/// A cube with each variable fixed with probability `fixed_num`/8.
+Cube sparse_cube(Rng& rng, int num_vars, std::uint64_t fixed_num) {
+  Cube cube = Cube::full(num_vars);
+  for (int v = 0; v < num_vars; ++v)
+    if (rng.chance(fixed_num, 8))
+      cube.set(v, rng.chance(1, 2) ? Lit::kOne : Lit::kZero);
   return cube;
 }
 
@@ -101,6 +158,58 @@ TEST_P(MinimizeProperty, IrredundantHasNoRemovableCube) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizeProperty, ::testing::Range(0, 6));
+
+TEST(MinimizeCover, OffSetExpandMatchesTautologyReference) {
+  Rng rng(0x0ff5e7);
+  int cases = 0, raised = 0, dropped = 0;
+  for (int nv = 2; nv <= 18; ++nv) {
+    for (int k = 0; k < 12; ++k) {
+      Cover on(nv), dc(nv);
+      const int n_on = static_cast<int>(rng.range(1, 8));
+      const int n_dc = static_cast<int>(rng.range(0, 6));
+      const std::uint64_t density = rng.range(2, 7);
+      for (int i = 0; i < n_on; ++i) on.add(sparse_cube(rng, nv, density));
+      // Half the dc cubes overlap an on cube: a copy of one with a few
+      // literals raised, so on and dc share minterms.
+      for (int i = 0; i < n_dc; ++i) {
+        if (rng.chance(1, 2)) {
+          Cube d = on[rng.below(on.size())];
+          for (int v = 0; v < nv; ++v)
+            if (rng.chance(1, 4)) d.set(v, Lit::kDC);
+          dc.add(d);
+        } else {
+          dc.add(sparse_cube(rng, nv, density));
+        }
+      }
+      Cover free_set = on;
+      for (const Cube& d : dc.cubes()) free_set.add(d);
+      const Cover off_set = complement_cover(free_set);
+
+      // Three passes with minimize_cover's rotations (0, 7, 14); each step
+      // of each pass runs both versions on the same input.
+      Cover current = on;
+      current.remove_single_cube_contained();
+      for (int pass = 0; pass < 3; ++pass) {
+        SCOPED_TRACE(testing::Message() << "nv " << nv << " case " << k
+                                        << " pass " << pass);
+        const int rotation = pass * 7;
+        const Cover ref_expanded = tautology_expand(current, free_set, rotation);
+        const Cover expanded = expand_cover(current, off_set, rotation);
+        ASSERT_EQ(cube_strings(expanded), cube_strings(ref_expanded));
+        const Cover ref_kept = copying_irredundant(ref_expanded, dc);
+        const Cover kept = irredundant_cover(expanded, dc);
+        ASSERT_EQ(cube_strings(kept), cube_strings(ref_kept));
+        if (cube_strings(ref_expanded) != cube_strings(current)) ++raised;
+        if (ref_kept.size() < ref_expanded.size()) ++dropped;
+        current = kept;
+      }
+      ++cases;
+    }
+  }
+  // The random mix must exercise both steps.
+  EXPECT_GT(raised, cases / 2);
+  EXPECT_GT(dropped, cases / 8);
+}
 
 }  // namespace
 }  // namespace fstg

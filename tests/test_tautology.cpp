@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "base/rng.h"
 
 namespace fstg {
@@ -28,6 +32,50 @@ Cover random_cover(Rng& rng, int num_vars, int max_cubes) {
     c.add(cube);
   }
   return c;
+}
+
+/// complement_cover as it was before it passed cofactors down the
+/// recursion: every node cofactors the whole cover and runs a full
+/// tautology check before splitting. Kept only as the reference for the
+/// differential test below.
+void reference_complement_rec(const Cover& cover, const Cube& space,
+                              Cover& out) {
+  Cover cof = cover.cofactor(space);
+  if (cof.empty()) {
+    out.add(space);
+    return;
+  }
+  for (const Cube& c : cof.cubes())
+    if (c.literal_count() == 0) return;
+  if (is_tautology(cof)) return;
+  int best_var = -1, best_score = -1;
+  for (int v = 0; v < cover.num_vars(); ++v) {
+    if (space.get(v) != Lit::kDC) continue;
+    int zeros = 0, ones = 0;
+    for (const Cube& c : cof.cubes()) {
+      Lit l = c.get(v);
+      if (l == Lit::kZero) ++zeros;
+      if (l == Lit::kOne) ++ones;
+    }
+    if (zeros + ones == 0) continue;
+    int score = std::min(zeros, ones) * 1000 + zeros + ones;
+    if (score > best_score) {
+      best_score = score;
+      best_var = v;
+    }
+  }
+  if (best_var < 0) return;
+  Cube lo = space, hi = space;
+  lo.set(best_var, Lit::kZero);
+  hi.set(best_var, Lit::kOne);
+  reference_complement_rec(cover, lo, out);
+  reference_complement_rec(cover, hi, out);
+}
+
+std::vector<std::string> cube_strings(const Cover& cover) {
+  std::vector<std::string> out;
+  for (const Cube& c : cover.cubes()) out.push_back(c.to_string());
+  return out;
 }
 
 TEST(Tautology, EmptyCoverIsNot) {
@@ -99,6 +147,25 @@ TEST_P(TautologyProperty, ComplementIsExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TautologyProperty, ::testing::Range(0, 6));
+
+TEST(Complement, MatchesTautologyCheckedReference) {
+  // Same cubes in the same order; up to 18 variables, with covers dense
+  // enough that whole subspaces are tautologies.
+  Rng rng(0xc0be5);
+  int tautologies = 0;
+  for (int nv = 1; nv <= 18; ++nv) {
+    for (int k = 0; k < 20; ++k) {
+      const Cover c = random_cover(rng, nv, 3 + 2 * k);
+      Cover ref(nv);
+      reference_complement_rec(c, Cube::full(nv), ref);
+      const Cover got = complement_cover(c);
+      ASSERT_EQ(cube_strings(got), cube_strings(ref))
+          << "nv " << nv << " case " << k;
+      tautologies += got.empty() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(tautologies, 0);
+}
 
 }  // namespace
 }  // namespace fstg
