@@ -83,6 +83,35 @@ void run_fault_sim(benchmark::State& state, bool use_cones) {
                           static_cast<std::int64_t>(faults.size()));
 }
 
+// Excitation-index build of one 64-test batch of the longest-first order,
+// at one thread. rie batch 0 is ragged — one 21k-cycle chained test beside
+// 63 tests of at most 530 cycles — and runs lane-major through its long
+// tail; every lane of bbsse batch 1 is live in all of its cycles, so it
+// stays cycle-major and a slowdown there cannot hide behind the ragged
+// batch's gain.
+void BM_ExcitationIndex(benchmark::State& state, const char* circuit,
+                        std::size_t batch_index) {
+  const CircuitExperiment exp = run_circuit(circuit);
+  const std::vector<ScanPattern> patterns =
+      to_scan_patterns(exp.gen.tests.sorted_by_decreasing_length());
+  const std::size_t begin = batch_index * 64;
+  const std::vector<ScanPattern> batch(
+      patterns.begin() + static_cast<std::ptrdiff_t>(begin),
+      patterns.begin() +
+          static_cast<std::ptrdiff_t>(std::min(patterns.size(), begin + 64)));
+  ScanBatchSim sim(exp.synth.circuit);
+  GoodTrace good = sim.run_good(batch);
+  for (auto _ : state) {
+    sim.build_excitation_index(good, 1);
+    benchmark::DoNotOptimize(good.exc_obs1.data());
+  }
+  state.counters["cycles"] = static_cast<double>(good.gate_values.size());
+}
+BENCHMARK_CAPTURE(BM_ExcitationIndex, rie_batch0, "rie", 0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExcitationIndex, bbsse_batch1, "bbsse", 1)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_FaultSimFull(benchmark::State& state) { run_fault_sim(state, false); }
 BENCHMARK(BM_FaultSimFull);
 

@@ -274,6 +274,19 @@ std::uint64_t kernel_cone_overlay(int lane_bits, const ScanCircuit& circuit,
   }
 }
 
+ExcitationIndexProbe probe_excitation_index(
+    int lane_bits, const ScanCircuit& circuit,
+    std::span<const ScanPattern> batch, int threads) {
+  switch (resolve_lane_bits(lane_bits)) {
+    case 512:
+      return probe_excitation_index_w512(circuit, batch, threads);
+    case 256:
+      return probe_excitation_index_w256(circuit, batch, threads);
+    default:
+      return probe_excitation_index_w64(circuit, batch, threads);
+  }
+}
+
 }  // namespace detail
 
 }  // namespace fstg

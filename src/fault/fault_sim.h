@@ -49,11 +49,14 @@ struct FaultSimOptions {
   /// detections are reduced on the caller in fault order.
   int threads = -1;
   /// Pattern lanes simulated per pass: 64 (portable), 256 (AVX2) or 512
-  /// (AVX-512); <= 0 means default_lane_bits() (the widest width this
-  /// build supports on this CPU unless overridden, e.g. by the CLI's
-  /// --lane-bits). Requests wider than the machine supports are clamped
-  /// down. Results are bit-identical at every width: a wider batch only
-  /// moves block boundaries, each test keeps its global index.
+  /// (AVX-512). <= 0 means automatic: while the process-wide default is
+  /// unset (default_lane_bits_is_auto()), 64 lanes on the event-driven
+  /// path — its fastest width — and the widest width this build supports
+  /// on this CPU for the full-cone path; once the default is set (e.g. by
+  /// the CLI's --lane-bits), that default. Requests wider than the machine
+  /// supports are clamped down. Results are bit-identical at every width:
+  /// a wider batch only moves block boundaries, each test keeps its global
+  /// index.
   int lane_bits = 0;
   /// Event-driven overlay evaluation (default) vs. the legacy full-cone
   /// re-evaluation (kept as the measured baseline; see fstg_bench).

@@ -267,4 +267,37 @@ std::uint64_t kernel_cone_overlay_impl(const ScanCircuit& c, int reps) {
   return checksum;
 }
 
+/// probe_excitation_index body: run_good + build_excitation_index at lane
+/// type V, flattened to 64-lane words.
+template <class V>
+ExcitationIndexProbe probe_excitation_index_impl(
+    const ScanCircuit& c, std::span<const ScanPattern> batch, int threads) {
+  using Lanes = LaneOps<V>;
+  ScanBatchSimT<V> sim(c);
+  GoodTraceT<V> good = sim.run_good(batch);
+  sim.build_excitation_index(good, threads);
+  ExcitationIndexProbe probe;
+  probe.lane_words = Lanes::kWords;
+  const auto append = [](std::vector<std::uint64_t>& out, const V& v) {
+    for (int i = 0; i < Lanes::kWords; ++i) out.push_back(Lanes::word(v, i));
+  };
+  for (std::size_t cy = 0; cy < good.gate_values.size(); ++cy) {
+    std::vector<std::uint64_t> row;
+    for (const V& v : good.gate_values[cy]) append(row, v);
+    probe.gate_values.push_back(std::move(row));
+    append(probe.active, good.active[cy]);
+    probe.cycle_x.push_back(good.cycle_has_x(cy) ? 1 : 0);
+  }
+  probe.words = good.exc_words;
+  probe.any1 = good.exc_any1;
+  probe.any0 = good.exc_any0;
+  probe.obs1 = good.exc_obs1;
+  probe.obs0 = good.exc_obs0;
+  probe.pin_obs1 = good.exc_pin_obs1;
+  probe.pin_obs0 = good.exc_pin_obs0;
+  probe.x = good.exc_x;
+  probe.pin_base = good.exc_pin_base;
+  return probe;
+}
+
 }  // namespace fstg::detail

@@ -28,6 +28,10 @@ std::uint64_t kernel_x_merge_w512(const ScanCircuit& c, int reps) {
 std::uint64_t kernel_cone_overlay_w512(const ScanCircuit& c, int reps) {
   return kernel_cone_overlay_impl<V512>(c, reps);
 }
+ExcitationIndexProbe probe_excitation_index_w512(
+    const ScanCircuit& c, std::span<const ScanPattern> batch, int threads) {
+  return probe_excitation_index_impl<V512>(c, batch, threads);
+}
 
 }  // namespace fstg::detail
 
@@ -45,6 +49,10 @@ std::uint64_t kernel_x_merge_w512(const ScanCircuit& c, int reps) {
 }
 std::uint64_t kernel_cone_overlay_w512(const ScanCircuit& c, int reps) {
   return kernel_cone_overlay_w64(c, reps);
+}
+ExcitationIndexProbe probe_excitation_index_w512(
+    const ScanCircuit& c, std::span<const ScanPattern> batch, int threads) {
+  return probe_excitation_index_w64(c, batch, threads);
 }
 
 }  // namespace fstg::detail

@@ -18,5 +18,9 @@ std::uint64_t kernel_x_merge_w64(const ScanCircuit& c, int reps) {
 std::uint64_t kernel_cone_overlay_w64(const ScanCircuit& c, int reps) {
   return kernel_cone_overlay_impl<Word>(c, reps);
 }
+ExcitationIndexProbe probe_excitation_index_w64(
+    const ScanCircuit& c, std::span<const ScanPattern> batch, int threads) {
+  return probe_excitation_index_impl<Word>(c, batch, threads);
+}
 
 }  // namespace fstg::detail

@@ -60,6 +60,31 @@ std::uint64_t kernel_x_merge(int lane_bits, const ScanCircuit& circuit,
 std::uint64_t kernel_cone_overlay(int lane_bits, const ScanCircuit& circuit,
                                   int reps);
 
+/// Test hook for the excitation index: one batch's good trace and index,
+/// built at a given lane width, with the lane vectors flattened to 64-lane
+/// words (`lane_words` per vector, lowest lanes first) so a width-free
+/// reference can be checked against them. The index fields mirror
+/// GoodTraceT's exc_* members.
+struct ExcitationIndexProbe {
+  int lane_words = 0;
+  /// [cycle][gate * lane_words + i]: word i of the gate's fault-free value.
+  std::vector<std::vector<std::uint64_t>> gate_values;
+  /// [cycle * lane_words + i]: word i of the cycle's active-lane mask.
+  std::vector<std::uint64_t> active;
+  /// [cycle]: 1 iff the cycle carries X (its gate bits stay clear).
+  std::vector<std::uint8_t> cycle_x;
+  std::size_t words = 0;
+  std::vector<std::uint64_t> any1, any0, obs1, obs0, pin_obs1, pin_obs0, x;
+  std::vector<std::uint32_t> pin_base;
+};
+
+/// Run the batch (at most `lane_bits` patterns) fault-free and build its
+/// excitation index over `threads` pool slots. `lane_bits` is resolved like
+/// FaultSimOptions::lane_bits.
+ExcitationIndexProbe probe_excitation_index(
+    int lane_bits, const ScanCircuit& circuit,
+    std::span<const ScanPattern> batch, int threads);
+
 /// Per-width kernel implementations (same contract), defined alongside the
 /// engines.
 std::uint64_t kernel_eval_sweep_w64(const ScanCircuit& c, int reps);
@@ -71,5 +96,12 @@ std::uint64_t kernel_x_merge_w512(const ScanCircuit& c, int reps);
 std::uint64_t kernel_cone_overlay_w64(const ScanCircuit& c, int reps);
 std::uint64_t kernel_cone_overlay_w256(const ScanCircuit& c, int reps);
 std::uint64_t kernel_cone_overlay_w512(const ScanCircuit& c, int reps);
+
+ExcitationIndexProbe probe_excitation_index_w64(
+    const ScanCircuit& c, std::span<const ScanPattern> batch, int threads);
+ExcitationIndexProbe probe_excitation_index_w256(
+    const ScanCircuit& c, std::span<const ScanPattern> batch, int threads);
+ExcitationIndexProbe probe_excitation_index_w512(
+    const ScanCircuit& c, std::span<const ScanPattern> batch, int threads);
 
 }  // namespace fstg::detail

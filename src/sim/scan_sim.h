@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -104,23 +105,29 @@ struct GoodTraceT {
   /// read-only by all workers. run_faulty jumps straight between candidate
   /// cycles instead of testing excitation cycle by cycle.
   ///
-  /// The excitation half: `exc_any1[g]` is set where any lane of gate g's
-  /// fault-free value at cycle c is 1, `exc_any0[g]` where any lane is 0.
+  /// Every bit speaks of *live* lanes only: lanes whose test is still
+  /// running at cycle c (`active[c]`). run_good keeps evaluating a finished
+  /// lane on its stale final state, but such a lane can neither detect nor
+  /// change state, so its values never make a cycle a candidate.
+  ///
+  /// The excitation half: `exc_any1[g]` is set where any live lane of gate
+  /// g's fault-free value at cycle c is 1, `exc_any0[g]` where any live
+  /// lane is 0.
   ///
   /// The observability half folds in fanout-free-region propagation. For
   /// each gate the builder computes S_g(c): the per-lane sensitivity of g's
-  /// FFR head to g at cycle c (ones when g is itself a head). `exc_obs1[g]`
-  /// is set where any lane has value 1 AND is head-sensitive (`exc_obs0`
-  /// for value 0). A stuck-at-0 at g changes its head's output exactly at
-  /// obs1 cycles (stuck-at-1 at obs0) — excited-but-dies-inside-the-FFR
-  /// cycles, the large majority of excited cycles, never become candidates.
-  /// Pin faults get the same exactness per fanin *entry* (`exc_pin_obs1[e]`:
-  /// some lane has the pin's driver at 1, the pin locally sensitive — every
-  /// other fanin of the gate non-controlling — and the gate head-sensitive;
-  /// `exc_pin_obs0` dually; `exc_pin_base[g]` maps gate g's pin p to entry
-  /// exc_pin_base[g]+p). Bridges derive conservative supersets from the
-  /// per-gate bits. Cycles that carry X are candidates for every fault
-  /// (`exc_x`).
+  /// FFR head to g at cycle c (the live lanes when g is itself a head).
+  /// `exc_obs1[g]` is set where any live lane has value 1 AND is
+  /// head-sensitive (`exc_obs0` for value 0). A stuck-at-0 at g changes
+  /// its head's output exactly at obs1 cycles (stuck-at-1 at obs0) —
+  /// excited-but-dies-inside-the-FFR cycles, the large majority of excited
+  /// cycles, never become candidates. Pin faults get the same exactness per
+  /// fanin *entry* (`exc_pin_obs1[e]`: some live lane has the pin's driver
+  /// at 1, the pin locally sensitive — every other fanin of the gate
+  /// non-controlling — and the gate head-sensitive; `exc_pin_obs0` dually;
+  /// `exc_pin_base[g]` maps gate g's pin p to entry exc_pin_base[g]+p).
+  /// Bridges derive conservative supersets from the per-gate bits. Cycles
+  /// that carry X are candidates for every fault (`exc_x`).
   std::vector<std::uint64_t> exc_any1;
   std::vector<std::uint64_t> exc_any0;
   std::vector<std::uint64_t> exc_obs1;
@@ -195,13 +202,15 @@ class ScanBatchSimT {
                const FaultSpec& fault, const std::vector<int>* cone = nullptr,
                FaultyEval mode = FaultyEval::kEventDriven);
 
-  /// Build the excitation/observability index on `good` (one backward
-  /// sensitivity sweep per cycle over the netlist — roughly the cost of one
-  /// extra good simulation per batch). The engine calls this once per batch
-  /// for event-driven runs; the index is then shared read-only by every
-  /// worker's run_faulty. The sweep runs in 64-cycle blocks over up to
-  /// `threads` pool slots (parallel::parallel_for semantics); each block
-  /// writes only its own word of every bitset, so the index is
+  /// Build the excitation/observability index on `good`: per 64-cycle
+  /// block, backward sensitivity sweeps over either the trace's per-cycle
+  /// lane words or, when fewer, one word per live lane packing that lane's
+  /// cycles of the block, so the cost follows the summed test lengths
+  /// rather than the longest test times the batch width.
+  /// The engine calls this once per batch for event-driven runs; the index
+  /// is then shared read-only by every worker's run_faulty. The blocks run
+  /// over up to `threads` pool slots (parallel::parallel_for semantics);
+  /// each block writes only its own word of every bitset, so the index is
   /// bit-identical for any thread count.
   void build_excitation_index(GoodTraceT<V>& good, int threads = 1) const;
 
@@ -238,6 +247,30 @@ class ScanBatchSimT {
       cur = words[w];
     }
     return (w << 6) + static_cast<std::size_t>(std::countr_zero(cur));
+  }
+
+  /// Transpose the 64x64 bit matrix a[row] bit col in place: afterwards
+  /// bit j of a[i] is the old bit i of a[j]. Six rounds of block swaps
+  /// (32x32 blocks, then 16x16, ... 1x1), each branch-free over all 64
+  /// words with a compile-time shift. Member functions, not free inlines,
+  /// for the per-width symbol discipline (see next_set_bit).
+  template <int J>
+  static void transpose_round(std::uint64_t* a, std::uint64_t mask) {
+    for (int base = 0; base < 64; base += 2 * J) {
+      for (int k = base; k < base + J; ++k) {
+        const std::uint64_t t = ((a[k] >> J) ^ a[k + J]) & mask;
+        a[k] ^= t << J;
+        a[k + J] ^= t;
+      }
+    }
+  }
+  static void transpose64(std::uint64_t* a) {
+    transpose_round<32>(a, 0x00000000FFFFFFFFull);
+    transpose_round<16>(a, 0x0000FFFF0000FFFFull);
+    transpose_round<8>(a, 0x00FF00FF00FF00FFull);
+    transpose_round<4>(a, 0x0F0F0F0F0F0F0F0Full);
+    transpose_round<2>(a, 0x3333333333333333ull);
+    transpose_round<1>(a, 0x5555555555555555ull);
   }
 
   const ScanCircuit* circuit_;
@@ -433,114 +466,224 @@ void ScanBatchSimT<V>::build_excitation_index(GoodTraceT<V>& good,
               fanin_ids.begin() + good.exc_pin_base[g]);
   }
   // The sweep is block-parallel: block w covers cycles [64w, 64w + 64) and
-  // owns word w of every bitset. Each block collects its words in local
-  // arrays (one word per gate / pin entry) and writes them back once, so
-  // blocks never touch a shared word and the index is bit-identical for
-  // any thread count.
+  // owns word w of every bitset. Blocks collect their words in local arrays
+  // and write them back once, so blocks never touch a shared word and the
+  // index is bit-identical for any thread count.
+  //
+  // Within a block, the backward sensitivity sweep runs over 64-bit words
+  // of (lane, cycle) bits. Every sweep operation is bitwise, so the layout
+  // does not change the per-(lane, cycle) S/obs/pin bits; it only decides
+  // how a result word folds onto the block's cycles. Two layouts, whichever
+  // needs fewer words:
+  //  - cycle-major: one word per cycle and lane word, bit l = lane l (the
+  //    trace's own layout); a nonzero result sets its cycle's bit;
+  //  - lane-major: one word per live lane (a lane whose test is running
+  //    somewhere in the block), bit j = the lane's value at cycle 64w + j;
+  //    results OR straight into the block's words. The words come from one
+  //    64x64 bit transpose per gate and lane word, or from extracting the
+  //    lane's bits row by row when the lane word has one or two live
+  //    lanes.
+  // Lane-major wins where few lanes run long — the tail of a ragged batch,
+  // where one chained test outlives 63 short ones — so the cost follows
+  // the summed test lengths rather than the longest test times the batch
+  // width. A block of short or equally long tests stays cycle-major.
+  //
+  // Only live cycles count: a lane's head sensitivity is its active-cycle
+  // mask (minus X cycles, which are candidates for every fault anyway), so
+  // a lane whose test has ended — run_good keeps evaluating it on its
+  // stale final state — sets no bit. A dead lane can neither detect nor
+  // change state, so run_faulty may ignore it.
   const std::size_t pins = good.exc_pin_base[n];
+  constexpr int kLaneWords = Lanes::kWords;
+  // Up to this many live lanes in a lane word, extracting each lane's bits
+  // beats one full transpose per gate.
+  constexpr std::size_t kExtractLanes = 2;
   const auto sweep = [&](int /*slot*/, std::size_t wlo, std::size_t whi) {
-    // S[g] = per-lane sensitivity of g's FFR head to g, valid for the cycle
-    // being swept: an interior gate's unique fanout has a higher id (the
-    // netlist is topological), so the descending sweep writes S[g] before g
-    // is visited. Heads never read their slot.
-    std::vector<V> S(n);
-    std::vector<V> prefix(max_fanins + 1);
-    std::vector<V> suffix(max_fanins + 1);
+    // S[g] = sensitivity of g's FFR head to g in the swept word: an
+    // interior gate's unique fanout has a higher id (the netlist is
+    // topological), so the descending sweep writes S[g] before g is
+    // visited. Heads never read their slot.
+    std::vector<std::uint64_t> S(n);
+    std::vector<std::uint64_t> prefix(max_fanins + 1);
+    std::vector<std::uint64_t> suffix(max_fanins + 1);
     std::vector<std::uint64_t> any1(n), any0(n), obs1(n), obs0(n);
     std::vector<std::uint64_t> pin_obs1(pins), pin_obs0(pins);
-    const V ones = Lanes::ones();
-    const V zero = Lanes::zero();
-    for (std::size_t w = wlo; w < whi; ++w) {
-      std::fill(any1.begin(), any1.end(), 0);
-      std::fill(any0.begin(), any0.end(), 0);
-      std::fill(obs1.begin(), obs1.end(), 0);
-      std::fill(obs0.begin(), obs0.end(), 0);
-      std::fill(pin_obs1.begin(), pin_obs1.end(), 0);
-      std::fill(pin_obs0.begin(), pin_obs0.end(), 0);
-      std::uint64_t x_word = 0;
-      const std::size_t c_end = std::min(rows, (w + 1) * 64);
-      for (std::size_t c = w * 64; c < c_end; ++c) {
-        const std::uint64_t bit = std::uint64_t{1} << (c & 63);
-        if (good.cycle_has_x(c)) {
-          // X cycles are candidates for every fault; no per-gate bits needed.
-          x_word |= bit;
+    // Live lanes of the block, by lane word: bit within the word and the
+    // lane's live, X-free cycles.
+    std::vector<int> live_bit;
+    std::vector<std::uint64_t> live_mask;
+    std::array<std::size_t, kLaneWords + 1> live_begin{};
+    std::vector<std::uint64_t> tile;  // tile[k * n + g]: word k of gate g
+    std::array<const V*, 64> rowp{};
+    std::array<std::uint64_t, 64> m{};
+
+    // One backward sweep over the words row[0..n) whose live (lane, cycle)
+    // bits are `live_bits`; put(bits, index, word) ORs a result word into
+    // the block's bitset, folded as the layout needs.
+    const auto sweep_word = [&](const std::uint64_t* row,
+                                std::uint64_t live_bits, auto&& put) {
+      for (std::size_t gi = n; gi-- > 0;) {
+        const std::uint64_t Sg = is_head[gi] ? live_bits : S[gi];
+        const std::uint64_t v = row[gi];
+        put(any1, gi, v & live_bits);
+        put(any0, gi, ~v & live_bits);
+        const std::size_t begin = good.exc_pin_base[gi];
+        const std::size_t nf = good.exc_pin_base[gi + 1] - begin;
+        const int* fan = fanin_ids.data() + begin;
+        if (Sg == 0) {
+          // Blocked everywhere: this gate never reaches its head, so its
+          // obs and pin bits stay clear and so does every fanin's
+          // sensitivity.
+          for (std::size_t p = 0; p < nf; ++p) {
+            const std::size_t f = static_cast<std::size_t>(fan[p]);
+            if (!is_head[f]) S[f] = 0;
+          }
           continue;
         }
-        const V* row = good.gate_values[c].data();
-        for (std::size_t gi = n; gi-- > 0;) {
-          const V Sg = is_head[gi] ? ones : S[gi];
-          const V v = row[gi];
-          if (Lanes::any(v)) any1[gi] |= bit;
-          if (v != ones) any0[gi] |= bit;
-          const std::size_t begin = good.exc_pin_base[gi];
-          const std::size_t k = good.exc_pin_base[gi + 1] - begin;
-          const int* fan = fanin_ids.data() + begin;
-          if (!Lanes::any(Sg)) {
-            // Blocked everywhere: no lane of this gate reaches its head, so
-            // its obs and pin bits stay clear and so does every fanin's
-            // sensitivity.
-            for (std::size_t p = 0; p < k; ++p) {
-              const std::size_t f = static_cast<std::size_t>(fan[p]);
-              if (!is_head[f]) S[f] = zero;
+        put(obs1, gi, v & Sg);
+        put(obs0, gi, ~v & Sg);
+        // Per-pin work (two-valued; X cycles are never live):
+        //  - pin observability bits: a stuck pin deviates the gate where
+        //    its driver disagrees with the stuck value AND the pin is
+        //    locally sensitive (every other fanin non-controlling); the
+        //    deviation changes the head where the gate is head-sensitive.
+        //  - head sensitivity pushed down to interior fanins:
+        //    S_fanin = S_g AND the pin's local sensitivity.
+        const auto emit = [&](std::size_t p, std::uint64_t reach) {
+          const std::uint64_t vd = row[fan[p]];
+          put(pin_obs1, begin + p, vd & reach);
+          put(pin_obs0, begin + p, ~vd & reach);
+          const std::size_t f = static_cast<std::size_t>(fan[p]);
+          if (!is_head[f]) S[f] = reach;
+        };
+        switch (types[gi]) {
+          case GateType::kBuf:
+          case GateType::kNot:
+          case GateType::kXor:
+          case GateType::kXnor:
+            // A toggle on any input always toggles the output.
+            for (std::size_t p = 0; p < nf; ++p) emit(p, Sg);
+            break;
+          case GateType::kAnd:
+          case GateType::kNand: {
+            // Pin p is sensitive where every *other* fanin is 1.
+            prefix[0] = Sg;
+            for (std::size_t p = 0; p < nf; ++p)
+              prefix[p + 1] = prefix[p] & row[fan[p]];
+            suffix[nf] = ~std::uint64_t{0};
+            for (std::size_t p = nf; p-- > 0;)
+              suffix[p] = suffix[p + 1] & row[fan[p]];
+            for (std::size_t p = 0; p < nf; ++p)
+              emit(p, prefix[p] & suffix[p + 1]);
+            break;
+          }
+          case GateType::kOr:
+          case GateType::kNor: {
+            // Pin p is sensitive where every *other* fanin is 0.
+            prefix[0] = 0;
+            for (std::size_t p = 0; p < nf; ++p)
+              prefix[p + 1] = prefix[p] | row[fan[p]];
+            suffix[nf] = 0;
+            for (std::size_t p = nf; p-- > 0;)
+              suffix[p] = suffix[p + 1] | row[fan[p]];
+            for (std::size_t p = 0; p < nf; ++p)
+              emit(p, Sg & ~(prefix[p] | suffix[p + 1]));
+            break;
+          }
+          default:
+            break;  // inputs/constants have no fanins
+        }
+      }
+    };
+
+    for (std::size_t w = wlo; w < whi; ++w) {
+      for (auto* v : {&any1, &any0, &obs1, &obs0, &pin_obs1, &pin_obs0})
+        std::fill(v->begin(), v->end(), 0);
+      const std::size_t c0 = w * 64;
+      const std::size_t nc = std::min<std::size_t>(64, rows - c0);
+      std::uint64_t x_word = 0;
+      for (std::size_t j = 0; j < nc; ++j) {
+        rowp[j] = good.gate_values[c0 + j].data();
+        if (good.cycle_has_x(c0 + j)) x_word |= std::uint64_t{1} << j;
+      }
+      // Live lanes: lanes active in some X-free cycle of the block.
+      std::size_t live = 0;
+      std::size_t live_words = 0;
+      for (int i = 0; i < kLaneWords; ++i) {
+        std::uint64_t lanes = 0;
+        for (std::size_t j = 0; j < nc; ++j)
+          if (((x_word >> j) & 1u) == 0)
+            lanes |= Lanes::word(good.active[c0 + j], i);
+        live += static_cast<std::size_t>(std::popcount(lanes));
+        live_words += lanes != 0 ? 1 : 0;
+      }
+
+      if (nc * live_words <= live) {
+        // Cycle-major: sweep the trace's lane words cycle by cycle.
+        tile.resize(n);
+        for (std::size_t j = 0; j < nc; ++j) {
+          if ((x_word >> j) & 1u) continue;
+          const std::uint64_t bit = std::uint64_t{1} << j;
+          const auto put_cycle = [bit](std::vector<std::uint64_t>& bits,
+                                       std::size_t e, std::uint64_t x) {
+            if (x != 0) bits[e] |= bit;  // most results are zero
+          };
+          for (int i = 0; i < kLaneWords; ++i) {
+            const std::uint64_t act = Lanes::word(good.active[c0 + j], i);
+            if (act == 0) continue;
+            for (std::size_t g = 0; g < n; ++g)
+              tile[g] = Lanes::word(rowp[j][g], i);
+            sweep_word(tile.data(), act, put_cycle);
+          }
+        }
+      } else {
+        // Lane-major: one word per live lane. Each lane's live cycles are
+        // its column of the block's active words.
+        live_bit.clear();
+        live_mask.clear();
+        for (int i = 0; i < kLaneWords; ++i) {
+          live_begin[static_cast<std::size_t>(i)] = live_bit.size();
+          for (std::size_t j = 0; j < 64; ++j)
+            m[j] = j < nc ? Lanes::word(good.active[c0 + j], i) : 0;
+          transpose64(m.data());
+          for (int b = 0; b < 64; ++b) {
+            const std::uint64_t mask =
+                m[static_cast<std::size_t>(b)] & ~x_word;
+            if (mask == 0) continue;
+            live_bit.push_back(b);
+            live_mask.push_back(mask);
+          }
+        }
+        live_begin[kLaneWords] = live_bit.size();
+        tile.assign(live * n, 0);
+        for (int i = 0; i < kLaneWords; ++i) {
+          const std::size_t kb = live_begin[static_cast<std::size_t>(i)];
+          const std::size_t ke = live_begin[static_cast<std::size_t>(i) + 1];
+          if (ke - kb <= kExtractLanes) {
+            for (std::size_t k = kb; k < ke; ++k) {
+              std::uint64_t* out = tile.data() + k * n;
+              for (std::size_t j = 0; j < nc; ++j) {
+                const V* r = rowp[j];
+                for (std::size_t g = 0; g < n; ++g)
+                  out[g] |= ((Lanes::word(r[g], i) >> live_bit[k]) & 1u) << j;
+              }
             }
             continue;
           }
-          if (Lanes::any(v & Sg)) obs1[gi] |= bit;
-          if (Lanes::any(~v & Sg)) obs0[gi] |= bit;
-          if (k == 0) continue;
-          // Per-pin work (two-valued; X cycles never reach this sweep):
-          //  - pin observability bits: a stuck pin deviates the gate where
-          //    its driver disagrees with the stuck value AND the pin is
-          //    locally sensitive (every other fanin non-controlling); the
-          //    deviation changes the head where the gate is head-sensitive
-          //    on such a lane.
-          //  - head sensitivity pushed down to interior fanins:
-          //    S_fanin = S_g AND the pin's local sensitivity.
-          const auto emit = [&](std::size_t p, const V& reach) {
-            const V vd = row[fan[p]];
-            if (Lanes::any(vd & reach)) pin_obs1[begin + p] |= bit;
-            if (Lanes::any(~vd & reach)) pin_obs0[begin + p] |= bit;
-            const std::size_t f = static_cast<std::size_t>(fan[p]);
-            if (!is_head[f]) S[f] = reach;
-          };
-          switch (types[gi]) {
-            case GateType::kBuf:
-            case GateType::kNot:
-            case GateType::kXor:
-            case GateType::kXnor:
-              // A toggle on any input always toggles the output.
-              for (std::size_t p = 0; p < k; ++p) emit(p, Sg);
-              break;
-            case GateType::kAnd:
-            case GateType::kNand: {
-              // Pin p is sensitive where every *other* fanin is 1.
-              prefix[0] = Sg;
-              for (std::size_t p = 0; p < k; ++p)
-                prefix[p + 1] = prefix[p] & row[fan[p]];
-              suffix[k] = ones;
-              for (std::size_t p = k; p-- > 0;)
-                suffix[p] = suffix[p + 1] & row[fan[p]];
-              for (std::size_t p = 0; p < k; ++p)
-                emit(p, prefix[p] & suffix[p + 1]);
-              break;
-            }
-            case GateType::kOr:
-            case GateType::kNor: {
-              // Pin p is sensitive where every *other* fanin is 0.
-              prefix[0] = zero;
-              for (std::size_t p = 0; p < k; ++p)
-                prefix[p + 1] = prefix[p] | row[fan[p]];
-              suffix[k] = zero;
-              for (std::size_t p = k; p-- > 0;)
-                suffix[p] = suffix[p + 1] | row[fan[p]];
-              for (std::size_t p = 0; p < k; ++p)
-                emit(p, Sg & ~(prefix[p] | suffix[p + 1]));
-              break;
-            }
-            default:
-              break;  // inputs/constants have no fanins
+          for (std::size_t g = 0; g < n; ++g) {
+            for (std::size_t j = 0; j < 64; ++j)
+              m[j] = j < nc ? Lanes::word(rowp[j][g], i) : 0;
+            transpose64(m.data());
+            for (std::size_t k = kb; k < ke; ++k)
+              tile[k * n + g] = m[static_cast<std::size_t>(live_bit[k])];
           }
         }
+        const auto put_or = [](std::vector<std::uint64_t>& bits,
+                               std::size_t e, std::uint64_t x) {
+          bits[e] |= x;
+        };
+        for (std::size_t k = 0; k < live; ++k)
+          sweep_word(tile.data() + k * n, live_mask[k], put_or);
       }
       for (std::size_t g = 0; g < n; ++g) {
         good.exc_any1[g * W + w] = any1[g];
@@ -660,12 +803,15 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   const int num_po = circuit_->num_po;
   const int num_sv = circuit_->num_sv;
 
-  // Candidate-cycle jumping (build_excitation_index): while no
-  // lane has diverged, cycles outside the fault's candidate bitset are
-  // provably unexcited and are skipped in blocks — the iteration jumps from
-  // set bit to set bit instead of testing excitation cycle by cycle. A
-  // diverged lane evolves state every cycle, so jumping pauses while
-  // `dirty` is nonzero and resumes when the lanes reconverge.
+  // Candidate-cycle jumping (build_excitation_index): while no live,
+  // relevant lane has diverged, cycles outside the fault's candidate bitset
+  // are provably unexcited in every live lane and are skipped in blocks —
+  // the iteration jumps from set bit to set bit instead of testing
+  // excitation cycle by cycle. A diverged lane evolves state every cycle,
+  // so jumping pauses while one is live and resumes when it reconverges,
+  // its test ends or a lower lane detects. A dirty lane that is dead or
+  // irrelevant stays so (active masks and below_lowest only shrink), and
+  // its state already holds what the scan-out compare needs.
   const std::uint64_t* cand = (cone != nullptr &&
                                mode == FaultyEval::kEventDriven)
                                   ? candidate_bits(good, fault)
@@ -695,7 +841,8 @@ V ScanBatchSimT<V>::run_faulty(std::span<const ScanPattern> batch,
   }
 
   for (std::size_t c = 0; c < good.active.size(); ++c) {
-    if (cand != nullptr && Lanes::none(dirty)) {
+    if (cand != nullptr &&
+        Lanes::none(dirty & good.active[c] & Lanes::below_lowest(detected))) {
       const std::size_t next = next_set_bit(cand, good.exc_words, c);
       if (next != c) {
         const std::size_t stop = std::min(next, good.active.size());
